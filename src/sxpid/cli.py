@@ -457,7 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_io(p)
     p.add_argument("--atom", required=True)
     p.add_argument("--which", choices=["plus", "minus", "net"], default="net")
-    p.add_argument("--maximize", action="store_true", default=True)
     p.add_argument("--minimize", action="store_true")
     p.add_argument("--steps", type=int, default=100)
     p.add_argument("--lr", type=float, default=grad.DEFAULT_LEARNING_RATE)

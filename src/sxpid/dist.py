@@ -1,10 +1,17 @@
 """Discrete joint distributions over a target and n sources.
 
-This module is the single probability oracle for the rest of the package.
+This module is the probability oracle for the rest of the package.
 Probabilities of compound events (unions/intersections of cylinder events)
-are always computed by scanning the support set and testing membership,
-never by inclusion-exclusion over floats, so no cancellation error can
-reach the logarithms taken downstream.
+are sums of the masses of the points inside them, never inclusion-exclusion
+over floats, so no cancellation error can reach the logarithms taken
+downstream. ``union_event_masses`` is the event-mass kernel behind every
+decomposition and gradient: it marks the points inside many unions of
+coalition events at once and sums their masses with one matrix product.
+Exact masses enter it as integer numerators (``mass_array``), so their sums
+are exact; float sums are matrix products, which are not correctly rounded:
+a sum of K positive masses may be off by up to about K units in the last
+place. ``event_probability`` and ``mass_where`` scan the support with
+Python predicates and serve as the independent check.
 
 Masses are kept as `fractions.Fraction` whenever they were given exactly
 (file input, builtin generators) and as floats otherwise. Zero-mass
@@ -23,6 +30,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence, Union
+
+import numpy as np
 
 Mass = Union[Fraction, float]
 
@@ -181,6 +190,29 @@ class JointDistribution:
         return all(isinstance(m, Fraction) and m.denominator <= MAX_EXACT_DENOMINATOR
                    for m in self.masses)
 
+    @cached_property
+    def support_array(self) -> np.ndarray:
+        """The support as rows (t, s_1, ..., s_n) of symbol indices."""
+        return np.array([(r.t, *r.s) for r in self.support],
+                        dtype=np.intp).reshape(-1, 1 + self.n_sources)
+
+    @cached_property
+    def mass_array(self) -> tuple[np.ndarray, int | None]:
+        """The support masses as an array, and the denominator under it.
+
+        Float masses come as float64 with denominator None. Otherwise the
+        masses are integer numerators over their least common denominator,
+        as int64 when their total fits and as Python ints when it does not,
+        so every sum of them is exact.
+        """
+        if any(isinstance(m, float) for m in self.masses):
+            return np.array(self.masses, dtype=float), None
+        masses = [Fraction(m) for m in self.masses]
+        den = math.lcm(*(m.denominator for m in masses))
+        nums = [m.numerator * (den // m.denominator) for m in masses]
+        dtype = np.int64 if sum(nums) <= np.iinfo(np.int64).max else object
+        return np.array(nums, dtype=dtype), den
+
     def mass(self, r: Realization) -> Mass:
         zero = Fraction(0) if self.exact else 0.0
         return self._lookup.get(r, zero)
@@ -217,6 +249,30 @@ def event_probability(d: JointDistribution, events: Sequence[CylinderEvent],
     if mode == "intersection":
         return d.mass_where(lambda r: all(ev.matches(r) for ev in events))
     raise DistributionError(f"unknown mode {mode!r}")
+
+
+def union_event_masses(up_sets: np.ndarray, points: np.ndarray,
+                       masses: np.ndarray, r: Realization,
+                       ) -> tuple[np.ndarray, np.ndarray, object]:
+    """Masses of unions of coalition events at realization r.
+
+    ``points`` holds rows (t, s_1, ..., s_n) of symbol indices and
+    ``masses`` their masses (float, int64 or Python-int object array).
+    Row u of ``up_sets`` marks the coalition masks whose events lie inside
+    union u (``lattice.coalition_up_sets``). A point lies inside union u
+    iff the mask of the sources on which it agrees with r.s is marked, so
+    the incidence of every union is one column gather.
+
+    Returns ``(inside, sums, p_t)``: ``inside[u, k]`` says whether point k
+    lies in union u, ``sums[u]`` is (mass of union u, mass of union u
+    within the target event T = r.t), both from one product, and ``p_t``
+    is the mass of the target event.
+    """
+    agree = (points[:, 1:] == r.s) @ (1 << np.arange(len(r.s)))
+    inside = up_sets[:, agree]
+    in_target = np.where(points[:, 0] == r.t, masses, 0)
+    sums = inside.astype(masses.dtype) @ np.array([masses, in_target]).T
+    return inside, sums, in_target.sum()
 
 
 def marginal(d: JointDistribution, keep: Iterable[Union[str, int]]) -> JointDistribution:

@@ -12,11 +12,15 @@ Derivatives per coordinate k (natural log divided out as 1/ln 2):
     d i+ / dp_k = -[k in E] / (P(E) ln2)
     d i- / dp_k =  [k in T] / (P(T) ln2) - [k in T&E] / (P(T&E) ln2)
 
-Atom gradients come either from the Moebius recursion (a signed sum of
-the above over the downset) or from the inclusion-exclusion closed form,
-whose terms are logs of event masses as well. The two paths agree
-wherever the closed form's child ordering is stable; at ties the
-recursion value is used and a warning is emitted.
+Event masses and the indicators [k in E] come from the event-mass kernel
+``dist.union_event_masses``, run over the grid cells with the raw
+coordinates as masses, so they are matrix products rather than correctly
+rounded sums. Atom gradients come either from Moebius inversion of the
+gradient rows above (``lattice.invert_array``, the "recursion" path) or
+from the inclusion-exclusion closed form, whose terms are logs of event
+masses as well. The two paths agree wherever the closed form's child
+ordering is stable; at ties the recursion value is used and a warning is
+emitted.
 """
 
 from __future__ import annotations
@@ -25,11 +29,11 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .dist import JointDistribution, Realization
+from .dist import JointDistribution, Realization, union_event_masses
 from .lattice import (Antichain, BoundaryError, RedundancyLattice,
                       enumerate_lattice, invert_array)
 
@@ -101,131 +105,108 @@ def random_interior(shape: Sequence[int], rng: np.random.Generator,
     return SimplexPoint(tuple(shape), raw / raw.sum())
 
 
-class _EventCells:
-    """Flat grid-cell index sets for every lattice node at one realization."""
-
-    def __init__(self, shape: tuple[int, ...], r: Realization,
-                 lattice: RedundancyLattice):
-        self.shape = shape
-        self.lattice = lattice
-        cells = [Realization(t=idx[0], s=tuple(idx[1:]))
-                 for idx in np.ndindex(*shape)]
-        self.t_idx = np.array([k for k, c in enumerate(cells) if c.t == r.t],
-                              dtype=np.intp)
-        plus, minus = [], []
-        for node in lattice.nodes:
-            hit = [k for k, c in enumerate(cells)
-                   if any(all(c.s[i - 1] == r.s[i - 1] for i in coll)
-                          for coll in node.collections)]
-            plus.append(np.array(hit, dtype=np.intp))
-            minus.append(np.array([k for k in hit if cells[k].t == r.t],
-                                  dtype=np.intp))
-        self.plus_idx = plus
-        self.minus_idx = minus
-
-    def idx(self, j: int, which: str) -> np.ndarray:
-        return self.plus_idx[j] if which == "plus" else self.minus_idx[j]
+@lru_cache(maxsize=8)
+def _grid_points(shape: tuple[int, ...]) -> np.ndarray:
+    """Every grid cell as a row (t, s_1, ..., s_n), in flat index order."""
+    return np.indices(shape).reshape(len(shape), -1).T
 
 
-@lru_cache(maxsize=4096)
-def _event_cells(shape: tuple[int, ...], r: Realization, n: int) -> _EventCells:
-    return _EventCells(shape, r, enumerate_lattice(n))
+class _Events(NamedTuple):
+    """The kernel's output at one realization, over the grid cells.
+
+    ``inside[j]`` marks the cells of node j's union event and ``target``
+    those of the target symbol; ``masses[j]`` is (P(E_j), P(t & E_j)) and
+    ``p_t`` is P(t), all under the raw coordinates.
+    """
+
+    lattice: RedundancyLattice
+    inside: np.ndarray
+    target: np.ndarray
+    masses: np.ndarray
+    p_t: float
 
 
-def _cells_for(point_shape: tuple[int, ...], r: Realization) -> _EventCells:
-    return _event_cells(point_shape, r, len(point_shape) - 1)
+def _events(p: np.ndarray, shape: tuple[int, ...], r: Realization) -> _Events:
+    lat = enumerate_lattice(len(shape) - 1)
+    points = _grid_points(shape)
+    inside, masses, p_t = union_event_masses(lat.up_sets, points, p, r)
+    if masses.min() <= 0:
+        raise BoundaryError(f"an event at {r} has nonpositive mass")
+    return _Events(lat, inside, points[:, 0] == r.t, masses, float(p_t))
+
+
+def _select(parts: np.ndarray, which: str) -> np.ndarray:
+    """The plus column, the minus column, or their difference for "net"."""
+    if which == "net":
+        return parts[:, 0] - parts[:, 1]
+    return parts[:, 0 if which == "plus" else 1]
 
 
 # ---------------------------------------------------------------------------
 # Values and gradients on raw coordinate vectors.
 # ---------------------------------------------------------------------------
 
-def _i_value(p: np.ndarray, ec: _EventCells, j: int, which: str) -> float:
-    if which == "plus":
-        return -math.log2(p[ec.plus_idx[j]].sum())
-    return math.log2(p[ec.t_idx].sum()) - math.log2(p[ec.minus_idx[j]].sum())
+def _i_parts(ev: _Events) -> np.ndarray:
+    """Columns i+ and i- over the nodes."""
+    return np.stack([-np.log2(ev.masses[:, 0]),
+                     math.log2(ev.p_t) - np.log2(ev.masses[:, 1])], axis=1)
 
 
-def _i_vector(p: np.ndarray, ec: _EventCells, which: str) -> np.ndarray:
-    return np.array([_i_value(p, ec, j, which)
-                     for j in range(len(ec.lattice.nodes))])
+def _pi_parts(ev: _Events) -> np.ndarray:
+    """Columns pi+ and pi- over the nodes."""
+    return invert_array(ev.lattice, _i_parts(ev))
 
 
-def _pi_vector(p: np.ndarray, ec: _EventCells, which: str) -> np.ndarray:
-    if which == "net":
-        return (_pi_vector(p, ec, "plus") - _pi_vector(p, ec, "minus"))
-    return invert_array(ec.lattice, _i_vector(p, ec, which))
-
-
-def _grad_i(p: np.ndarray, ec: _EventCells, j: int, which: str) -> np.ndarray:
-    g = np.zeros_like(p)
+def _grad_i_all(ev: _Events, which: str) -> np.ndarray:
+    """Gradients of i+ / i- / i for every node, rows in node order."""
+    rows = np.zeros(ev.inside.shape)
     if which in ("plus", "net"):
-        idx = ec.plus_idx[j]
-        g[idx] -= 1.0 / (p[idx].sum() * _LN2)
+        rows -= ev.inside / (ev.masses[:, :1] * _LN2)
     if which in ("minus", "net"):
         sign = -1.0 if which == "net" else 1.0
-        g[ec.t_idx] += sign / (p[ec.t_idx].sum() * _LN2)
-        idx = ec.minus_idx[j]
-        g[idx] -= sign / (p[idx].sum() * _LN2)
-    return g
+        rows += sign * (ev.target / (ev.p_t * _LN2)
+                        - (ev.inside & ev.target) / (ev.masses[:, 1:] * _LN2))
+    return rows
 
 
-def _grad_pi_all(p: np.ndarray, ec: _EventCells, which: str) -> np.ndarray:
+def _grad_pi_all(ev: _Events, which: str) -> np.ndarray:
     """Recursion-path gradients for every node, rows in node order."""
-    if which == "net":
-        return _grad_pi_all(p, ec, "plus") - _grad_pi_all(p, ec, "minus")
-    lat = ec.lattice
-    G = np.zeros((len(lat.nodes), p.size))
-    for j in lat.topological_order:
-        row = _grad_i(p, ec, int(j), which)
-        below = lat.strict_lower(int(j))
-        if below.size:
-            row = row - G[below].sum(axis=0)
-        G[j] = row
-    return G
+    return invert_array(ev.lattice, _grad_i_all(ev, which))
 
 
-def _grad_pi_closed(p: np.ndarray, ec: _EventCells, j: int,
-                    which: str) -> np.ndarray:
+def _grad_pi_closed(ev: _Events, j: int, which: str) -> np.ndarray:
     """Closed-form-path gradient for one node (plus or minus only).
 
     Raises BoundaryError-adjacent ties to the caller via ValueError so it
     can fall back to the recursion path.
     """
-    lat = ec.lattice
+    lat = ev.lattice
     kids = lat.children_table[j]
     if not kids:
-        return _grad_i(p, ec, j, which)
-    probs = [(p[ec.idx(c, which)].sum(), lat.nodes[c].sort_key(), c) for c in kids]
+        return _grad_i_all(ev, which)[j]
+    col = 0 if which == "plus" else 1
+    ind = (ev.inside if which == "plus" else ev.inside & ev.target).astype(float)
+    mass = ev.masses[:, col]
+    probs = [(mass[c], lat.nodes[c].sort_key(), c) for c in kids]
     vals = sorted(v for v, _, _ in probs)
     if any(b - a <= TIE_TOLERANCE for a, b in zip(vals, vals[1:])):
         raise ValueError("tied child event probabilities")
     probs.sort()
     gamma1 = probs[0][2]
     others = [c for _, _, c in probs[1:]]
+    d1 = probs[0][0] - mass[j]
 
-    p_alpha = p[ec.idx(j, which)].sum()
-    ind_alpha = np.zeros_like(p)
-    ind_alpha[ec.idx(j, which)] = 1.0
-    ind_g1 = np.zeros_like(p)
-    ind_g1[ec.idx(gamma1, which)] = 1.0
-    d1 = probs[0][0] - p_alpha
-
-    g = np.zeros_like(p)
+    g = np.zeros(ind.shape[1])
     for bits in range(1 << len(others)):
         members = [others[i] for i in range(len(others)) if bits >> i & 1]
+        m = j
         if members:
             m = members[0]
             for c in members[1:]:
                 m = lat.meet_idx(m, c)
-            idx = ec.idx(m, which)
-        else:
-            idx = ec.idx(j, which)
-        ind_b = np.zeros_like(p)
-        ind_b[idx] = 1.0
-        pb = p[idx].sum()
         sign = -1.0 if bin(bits).count("1") % 2 else 1.0
-        g += sign * ((ind_b + ind_g1 - ind_alpha) / (pb + d1) - ind_b / pb) / _LN2
+        g += sign * ((ind[m] + ind[gamma1] - ind[j]) / (mass[m] + d1)
+                     - ind[m] / mass[m]) / _LN2
     return g
 
 
@@ -254,9 +235,8 @@ def grad_i_sx_parts(point: SimplexPoint, r: Realization, alpha: Antichain,
                     which: str = "net") -> GradientRecord:
     """Analytic gradient of i+ / i- / i at one realization and node."""
     _check_point(point, alpha)
-    ec = _cells_for(point.shape, r)
-    j = ec.lattice.index(alpha)
-    g = _grad_i(point.p, ec, j, which)
+    ev = _events(point.p, point.shape, r)
+    g = _grad_i_all(ev, which)[ev.lattice.index(alpha)]
     return GradientRecord(f"i_{which}", alpha, r, point.shape, g)
 
 
@@ -271,24 +251,23 @@ def grad_atom(point: SimplexPoint, r: Realization, alpha: Antichain,
     form is not differentiable across a tie, the measure itself is.
     """
     _check_point(point, alpha)
-    ec = _cells_for(point.shape, r)
-    j = ec.lattice.index(alpha)
+    ev = _events(point.p, point.shape, r)
+    j = ev.lattice.index(alpha)
     if path == "recursion":
-        g = _grad_pi_all(point.p, ec, which)[j]
+        g = _grad_pi_all(ev, which)[j]
         return GradientRecord(f"pi_{which}", alpha, r, point.shape, g)
     try:
         if which == "net":
-            g = _grad_pi_closed(point.p, ec, j, "plus") \
-                - _grad_pi_closed(point.p, ec, j, "minus")
+            g = _grad_pi_closed(ev, j, "plus") - _grad_pi_closed(ev, j, "minus")
         else:
-            g = _grad_pi_closed(point.p, ec, j, which)
+            g = _grad_pi_closed(ev, j, which)
     except ValueError:
         if path == "closed":
             raise
         warnings.warn(f"tied child event probabilities at {alpha.name}; "
                       "using the recursion-path gradient", RuntimeWarning,
                       stacklevel=2)
-        g = _grad_pi_all(point.p, ec, which)[j]
+        g = _grad_pi_all(ev, which)[j]
     return GradientRecord(f"pi_{which}", alpha, r, point.shape, g)
 
 
@@ -309,8 +288,7 @@ def average_atom_value(p: np.ndarray, shape: tuple[int, ...], alpha: Antichain,
     j = lat.index(alpha)
     total = 0.0
     for k, r in _support_realizations(shape, support):
-        ec = _cells_for(shape, r)
-        total += p[k] * _pi_vector(p, ec, which)[j]
+        total += p[k] * _select(_pi_parts(_events(p, shape, r)), which)[j]
     return total
 
 
@@ -328,9 +306,9 @@ def _grad_average_raw(p: np.ndarray, shape: tuple[int, ...], alpha: Antichain,
     j = lat.index(alpha)
     g = np.zeros_like(p)
     for k, r in _support_realizations(shape, support):
-        ec = _cells_for(shape, r)
-        g[k] += _pi_vector(p, ec, which)[j]          # d weight / dp_k
-        g += p[k] * _grad_pi_all(p, ec, which)[j]    # weight * d atom / dp
+        ev = _events(p, shape, r)
+        g[k] += _select(_pi_parts(ev), which)[j]     # d weight / dp_k
+        g += p[k] * _grad_pi_all(ev, which)[j]       # weight * d atom / dp
     return g
 
 
@@ -374,15 +352,11 @@ def pointwise_value(p: np.ndarray, shape: tuple[int, ...], r: Realization,
     ``p`` need not be normalized; finite-difference oracles call this on
     singly-perturbed coordinate vectors.
     """
-    ec = _cells_for(shape, r)
-    j = ec.lattice.index(alpha)
-    if quantity == "i":
-        if which == "net":
-            return _i_value(p, ec, j, "plus") - _i_value(p, ec, j, "minus")
-        return _i_value(p, ec, j, which)
-    if quantity == "pi":
-        return float(_pi_vector(p, ec, which)[j])
-    raise ValueError("quantity must be 'i' or 'pi'")
+    if quantity not in ("i", "pi"):
+        raise ValueError("quantity must be 'i' or 'pi'")
+    ev = _events(p, shape, r)
+    parts = _i_parts(ev) if quantity == "i" else _pi_parts(ev)
+    return float(_select(parts, which)[ev.lattice.index(alpha)])
 
 
 # ---------------------------------------------------------------------------

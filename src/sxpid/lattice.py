@@ -9,12 +9,13 @@ exponentially and this implementation targets exhaustive evaluation.
 Coalitions are stored as bit masks (bit i-1 set <=> source i in the
 coalition), antichains as tuples of masks sorted by (size, index list),
 so equality and hashing are structural and cheap. Each antichain also has
-an "up-closure" bitset over all 2^n - 1 coalition masks; the partial order
-is plain bitset inclusion on these closures, which keeps the O(N^2) order
-computation fast enough even for n = 5.
+an up-set over the coalition masks: the coalitions that contain one of its
+members (``up_sets``). The partial order is inclusion of these up-sets,
+the union events of ``sxpid.dist.union_event_masses`` read them directly,
+and Moebius inversion runs one subtraction pass per coalition over them.
 
-Order and children are computed lazily: enumerating nodes (e.g. to count
-them) never pays for the order matrix.
+Order, children and inversion passes are computed lazily: enumerating
+nodes (e.g. to count them) never pays for the order matrix.
 """
 
 from __future__ import annotations
@@ -166,13 +167,19 @@ def meet(a: Antichain, b: Antichain) -> Antichain:
     return Antichain(a.n, tuple(set(kept)))
 
 
-def _upclosure(n: int, masks: Sequence[int]) -> int:
-    """Bitset over coalition masks 1..2^n-1: which coalitions include a member."""
-    bits = 0
-    for m in range(1, 1 << n):
-        if any(m & a == a for a in masks):
-            bits |= 1 << m
-    return bits
+def coalition_up_sets(n: int, mask_lists: Sequence[Sequence[int]]) -> np.ndarray:
+    """Up-sets of coalition lists as rows over the masks 0..2^n-1.
+
+    Entry [u, c] is True when coalition mask c contains a member of list u,
+    that is, when the event of coalition c lies inside the union of the
+    events of list u.
+    """
+    coalitions = np.arange(1 << n)
+    rows = np.zeros((len(mask_lists), 1 << n), dtype=bool)
+    for row, masks in zip(rows, mask_lists):
+        for m in masks:
+            row |= coalitions & m == m
+    return rows
 
 
 class RedundancyLattice:
@@ -239,21 +246,23 @@ class RedundancyLattice:
 
     # -- order ------------------------------------------------------------
 
+    @cached_property
+    def up_sets(self) -> np.ndarray:
+        """``coalition_up_sets`` of every node, rows in node order."""
+        return coalition_up_sets(self.n, [a.masks for a in self.nodes])
+
+    @cached_property
+    def _up_keys(self) -> np.ndarray:
+        """Each node's up-set as one integer, bit c for coalition mask c."""
+        return self.up_sets @ (np.uint64(1) << np.arange(1 << self.n, dtype=np.uint64))
+
     @property
     def leq_matrix(self) -> np.ndarray:
         """Boolean matrix L with L[i, j] = (nodes[i] <= nodes[j])."""
         if self._leq is None:
-            up = [_upclosure(self.n, a.masks) for a in self.nodes]
-            size = len(self.nodes)
-            words = np.array([[(u >> (32 * w)) & 0xFFFFFFFF
-                               for w in range((1 << self.n) // 32 + 1)]
-                              for u in up], dtype=np.uint64)
-            L = np.ones((size, size), dtype=bool)
-            # i <= j iff upclosure(j) is a subset of upclosure(i), wordwise.
-            for w in range(words.shape[1]):
-                col = words[:, w]
-                L &= (col[None, :] & ~col[:, None]) == 0
-            self._leq = L
+            # i <= j iff the up-set of j is a subset of the up-set of i
+            keys = self._up_keys
+            self._leq = (keys[None, :] & ~keys[:, None]) == 0
         return self._leq
 
     def leq_idx(self, i: int, j: int) -> bool:
@@ -265,6 +274,30 @@ class RedundancyLattice:
             below = np.flatnonzero(self.leq_matrix[:, j])
             self._strict_lower[j] = below[below != j].astype(np.int32)
         return self._strict_lower[j]
+
+    @cached_property
+    def moebius_passes(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Index pairs (upper, lower) of the Moebius inversion, in run order.
+
+        A node is the set D of coalitions outside its up-set, and a <= b
+        iff D(a) is a subset of D(b): the lattice is that of the down-closed
+        coalition sets other than the full one. Coalitions are taken
+        largest first; for coalition p, ``upper`` lists the nodes whose D
+        has p as a maximal element and ``lower`` the node with D - {p}.
+        Subtracting lower from upper for every p undoes the zeta transform
+        (summation over downsets) one coalition at a time. The pairs are the
+        cover edges of the lattice.
+        """
+        full = (1 << self.n) - 1
+        up, keys = self.up_sets, self._up_keys
+        order = np.argsort(keys)
+        passes = []
+        for p in sorted(range(1, full + 1), key=lambda c: -bin(c).count("1")):
+            supersets = [q for q in range(p + 1, full + 1) if q & p == p]
+            upper = np.flatnonzero(~up[:, p] & up[:, supersets].all(axis=1))
+            wanted = keys[upper] | (np.uint64(1) << np.uint64(p))
+            passes.append((upper, order[np.searchsorted(keys, wanted, sorter=order)]))
+        return passes
 
     @property
     def topological_order(self) -> np.ndarray:
@@ -326,11 +359,17 @@ def enumerate_lattice(n: int) -> RedundancyLattice:
 # ---------------------------------------------------------------------------
 
 def invert_array(lattice: RedundancyLattice, v: np.ndarray) -> np.ndarray:
-    """Moebius recursion on a vector indexed like ``lattice.nodes``."""
-    pi = np.empty(len(v), dtype=float)
-    for j in lattice.topological_order:
-        below = lattice.strict_lower(int(j))
-        pi[j] = v[j] - (pi[below].sum() if below.size else 0.0)
+    """Moebius inversion: pi with sum(pi[b] for b <= a) == v[a] for every a.
+
+    ``v`` is indexed like ``lattice.nodes``: a vector, or a matrix whose rows
+    are nodes, each column inverted on its own. The inversion runs the
+    ``moebius_passes``, each an elementwise subtraction of whole rows, so a
+    column's result does not depend on the other columns, and applied to
+    the identity matrix it gives the Moebius function, mu(k, j) at [j, k].
+    """
+    pi = np.array(v, dtype=float)
+    for upper, lower in lattice.moebius_passes:
+        pi[upper] -= pi[lower]
     return pi
 
 
@@ -362,7 +401,11 @@ def moebius_invert(lattice: RedundancyLattice,
 
 def _log2(x: Mass) -> float:
     if isinstance(x, Fraction):
+        if x <= 0:
+            raise BoundaryError("log of a nonpositive probability")
         return math.log2(x.numerator) - math.log2(x.denominator)
+    if x <= 0.0:
+        raise BoundaryError("log of a nonpositive probability")
     return math.log2(x)
 
 

@@ -9,15 +9,26 @@ E_alpha and of its intersection with the target event:
     misinformative part   i- =  log2 P(t) - log2 P(t & E_alpha)
     shared information    i  = i+ - i-
 
+Both probabilities come from the event-mass kernel
+``dist.union_event_masses``, one call per realization for a whole table
+of unions (``node_event_probabilities`` for the lattice). Exact masses are
+summed as integer numerators, so they stay exact; float masses are summed
+by a matrix product, which is not correctly rounded. The support scan of
+``dist.event_probability`` remains as the independent check, used here by
+``self_shared`` and the statement channel.
+
 The per-node increments pi+/pi-/pi are recovered by Moebius inversion of
-i+/i- over the lattice; both are nonnegative, pi = pi+ - pi- may not be.
-Averages weight the pointwise values by the realization masses over the
-support. All logarithms are base 2; every quantity is in bits.
+i+/i- over the lattice (``lattice.invert_array``, both parts in one call);
+both are nonnegative, pi = pi+ - pi- may not be. Averages weight the
+pointwise values by the realization masses over the support. All
+logarithms are base 2; every quantity is in bits.
 
 When the distribution's masses are exact rationals, pointwise quantities
 are logs of rationals; for small lattices the exact log-arguments are
 carried along so reports can print them (paper-style tables are exact
-logs of small fractions).
+logs of small fractions). Their atoms are products of the log-arguments
+raised to the Moebius function, which ``invert_array`` gives when applied
+to the identity matrix.
 """
 
 from __future__ import annotations
@@ -30,123 +41,60 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .dist import (Alphabet, CylinderEvent, DistributionError, JointDistribution,
-                   Mass, Realization, marginal)
-from .lattice import (Antichain, BoundaryError, RedundancyLattice, closed_form_atom,
-                      enumerate_lattice, invert_array)
+                   Mass, Realization, marginal, union_event_masses)
+from .lattice import (Antichain, RedundancyLattice, _log2, closed_form_atom,
+                      coalition_up_sets, enumerate_lattice, invert_array)
 
 #: Exact rational log-arguments are carried only for lattices this small;
 #: beyond n=3 the fractions grow without bound through the recursion.
 EXACT_RATIO_NODE_LIMIT = 18
 
 
-def _log2(x: Mass) -> float:
-    if isinstance(x, Fraction):
-        if x <= 0:
-            raise BoundaryError("log of a nonpositive probability")
-        return math.log2(x.numerator) - math.log2(x.denominator)
-    if x <= 0.0:
-        raise BoundaryError("log of a nonpositive probability")
-    return math.log2(x)
+def _union_masses(d: JointDistribution, r: Realization, up_sets: np.ndarray,
+                  ) -> tuple[list[Mass], list[Mass], Mass]:
+    """P(E_u) and P(t & E_u) for every up-set row u at r, and P(t).
 
-
-class _RealizationContext:
-    """Event probabilities for one support realization, memoized.
-
-    Support points are indexed by bit position; each source position and
-    the target get a match bitset, coalition events are ANDs, antichain
-    events ORs. Probabilities are mass sums over set bits, computed once
-    per distinct bitset.
+    Exact inputs give Fractions (sums of integer numerators over the
+    common denominator), float inputs floats.
     """
-
-    __slots__ = ("d", "r", "_src", "_tgt", "_coll", "_mass", "_node")
-
-    def __init__(self, d: JointDistribution, r: Realization):
-        if d.mass(r) == 0:
-            raise DistributionError(f"realization {r} not in support")
-        self.d = d
-        self.r = r
-        self._src = []
-        for pos in range(d.n_sources):
-            bits = 0
-            for idx, sp in enumerate(d.support):
-                if sp.s[pos] == r.s[pos]:
-                    bits |= 1 << idx
-            self._src.append(bits)
-        tbits = 0
-        for idx, sp in enumerate(d.support):
-            if sp.t == r.t:
-                tbits |= 1 << idx
-        self._tgt = tbits
-        self._coll: dict[int, int] = {}
-        self._mass: dict[int, Mass] = {}
-        self._node: dict[tuple[tuple[int, ...], bool], Mass] = {}
-
-    def _collection_bits(self, mask: int) -> int:
-        bits = self._coll.get(mask)
-        if bits is None:
-            bits = (1 << len(self.d.support)) - 1
-            m = mask
-            while m:
-                low = m & -m
-                bits &= self._src[low.bit_length() - 1]
-                m ^= low
-            self._coll[mask] = bits
-        return bits
-
-    def union_bits(self, masks: Sequence[int]) -> int:
-        bits = 0
-        for mask in masks:
-            bits |= self._collection_bits(mask)
-        return bits
-
-    def mass_of(self, bits: int) -> Mass:
-        out = self._mass.get(bits)
-        if out is None:
-            masses = self.d.masses
-            picked = []
-            b = bits
-            while b:
-                low = b & -b
-                picked.append(masses[low.bit_length() - 1])
-                b ^= low
-            if picked and isinstance(picked[0], float):
-                out = math.fsum(picked)
-            else:
-                out = sum(picked, Fraction(0))
-            self._mass[bits] = out
-        return out
-
-    def p_target(self) -> Mass:
-        return self.mass_of(self._tgt)
-
-    def prob(self, masks: Sequence[int], with_target: bool) -> Mass:
-        key = (tuple(masks), with_target)
-        out = self._node.get(key)
-        if out is None:
-            bits = self.union_bits(masks)
-            if with_target:
-                bits &= self._tgt
-            out = self.mass_of(bits)
-            self._node[key] = out
-        return out
-
-    def prob_complement_intersection(self, masks: Sequence[int],
-                                     with_target: bool) -> Mass:
-        """Mass of support points excluded by every coalition event."""
-        bits = ~self.union_bits(masks) & ((1 << len(self.d.support)) - 1)
-        if with_target:
-            bits &= self._tgt
-        return self.mass_of(bits)
+    if d.mass(r) == 0:
+        raise DistributionError(f"realization {r} not in support")
+    masses, den = d.mass_array
+    _, sums, p_t = union_event_masses(up_sets, d.support_array, masses, r)
+    if den is None:
+        return sums[:, 0].tolist(), sums[:, 1].tolist(), float(p_t)
+    exact = [Fraction(int(x), den) for x in sums.ravel()]
+    return exact[0::2], exact[1::2], Fraction(int(p_t), den)
 
 
-def _context(d: JointDistribution, r: Realization) -> _RealizationContext:
-    return _RealizationContext(d, r)
+def _coalition_mask(d: JointDistribution, coalition: Iterable[int]) -> int:
+    coalition = tuple(coalition)
+    mask = 0
+    for i in coalition:
+        if not 1 <= i <= d.n_sources:
+            raise DistributionError(f"source index {i} in coalition {coalition} "
+                                    f"out of range 1..{d.n_sources}")
+        mask |= 1 << (i - 1)
+    if mask == 0:
+        raise DistributionError("coalition must be nonempty, got ()")
+    return mask
 
 
-def _check_alpha(d: JointDistribution, alpha: Antichain) -> None:
+def _parts(d: JointDistribution, r: Realization,
+           up_sets: np.ndarray) -> list[tuple[float, float]]:
+    """(i+, i-) for each up-set row (``coalition_up_sets``), one kernel call."""
+    plus, minus, p_t = _union_masses(d, r, up_sets)
+    log_t = _log2(p_t)
+    return [(-_log2(pe), log_t - _log2(pte)) for pe, pte in zip(plus, minus)]
+
+
+def _check_alpha(d: JointDistribution, alpha: Antichain) -> np.ndarray:
+    """The up-set row of ``alpha``, once it is known to fit ``d``."""
     if alpha.n != d.n_sources:
         raise DistributionError(
             f"antichain over {alpha.n} sources, distribution has {d.n_sources}")
+    lat = enumerate_lattice(alpha.n)
+    return lat.up_sets[[lat.index(alpha)]]
 
 
 # ---------------------------------------------------------------------------
@@ -155,23 +103,17 @@ def _check_alpha(d: JointDistribution, alpha: Antichain) -> None:
 
 def i_sx_plus(d: JointDistribution, r: Realization, alpha: Antichain) -> float:
     """Informative shared information: -log2 of the union-event probability."""
-    _check_alpha(d, alpha)
-    return -_log2(_context(d, r).prob(alpha.masks, with_target=False))
+    return _parts(d, r, _check_alpha(d, alpha))[0][0]
 
 
 def i_sx_minus(d: JointDistribution, r: Realization, alpha: Antichain) -> float:
     """Misinformative shared information: log2 P(t) / P(t & union event)."""
-    _check_alpha(d, alpha)
-    ctx = _context(d, r)
-    return _log2(ctx.p_target()) - _log2(ctx.prob(alpha.masks, with_target=True))
+    return _parts(d, r, _check_alpha(d, alpha))[0][1]
 
 
 def i_sx(d: JointDistribution, r: Realization, alpha: Antichain) -> float:
     """Signed shared information, the difference of the two parts."""
-    _check_alpha(d, alpha)
-    ctx = _context(d, r)
-    plus = -_log2(ctx.prob(alpha.masks, with_target=False))
-    minus = _log2(ctx.p_target()) - _log2(ctx.prob(alpha.masks, with_target=True))
+    plus, minus = _parts(d, r, _check_alpha(d, alpha))[0]
     return plus - minus
 
 
@@ -181,11 +123,8 @@ def i_sx_conditional_form(d: JointDistribution, r: Realization,
 
     Derived check only; must equal :func:`i_sx` to float precision.
     """
-    _check_alpha(d, alpha)
-    ctx = _context(d, r)
-    p_e = ctx.prob(alpha.masks, with_target=False)
-    p_te = ctx.prob(alpha.masks, with_target=True)
-    return _log2(p_te) - _log2(p_e) - _log2(ctx.p_target())
+    (p_e,), (p_te,), p_t = _union_masses(d, r, _check_alpha(d, alpha))
+    return _log2(p_te) - _log2(p_e) - _log2(p_t)
 
 
 def i_sx_exclusion_form(d: JointDistribution, r: Realization,
@@ -194,23 +133,12 @@ def i_sx_exclusion_form(d: JointDistribution, r: Realization,
 
     Removes the mass excluded by every coalition event, rescales, and
     compares the target mass before and after. Derived check only; equals
-    :func:`i_sx` up to the De Morgan identity, which the support-scan
-    evaluation preserves exactly.
+    :func:`i_sx` up to the De Morgan identity, which holds exactly for
+    rational masses and to float precision otherwise, since the excluded
+    masses are summed over the excluded points themselves.
     """
-    _check_alpha(d, alpha)
-    ctx = _context(d, r)
-    total = d.total_mass()
-    p_t = ctx.p_target()
-    p_excl = ctx.prob_complement_intersection(alpha.masks, with_target=False)
-    p_t_excl = ctx.prob_complement_intersection(alpha.masks, with_target=True)
-    return _log2(p_t - p_t_excl) - _log2(total - p_excl) - _log2(p_t)
-
-
-def _parts_from_masks(ctx: _RealizationContext,
-                      masks: Sequence[int]) -> tuple[float, float]:
-    plus = -_log2(ctx.prob(masks, with_target=False))
-    minus = _log2(ctx.p_target()) - _log2(ctx.prob(masks, with_target=True))
-    return plus, minus
+    (p_excl,), (p_t_excl,), p_t = _union_masses(d, r, ~_check_alpha(d, alpha))
+    return _log2(p_t - p_t_excl) - _log2(d.total_mass() - p_excl) - _log2(p_t)
 
 
 def i_sx_parts_from_collections(d: JointDistribution, r: Realization,
@@ -219,31 +147,20 @@ def i_sx_parts_from_collections(d: JointDistribution, r: Realization,
     """(i+, i-) for a raw, un-normalized list of coalitions.
 
     The list is used exactly as given (duplicates and supersets allowed),
-    which is what the symmetry and monotonicity checks need.
+    which is what the symmetry and monotonicity checks need. A source
+    index outside 1..n or an empty coalition raises DistributionError.
     """
-    masks = []
-    for coll in collections:
-        mask = 0
-        for i in coll:
-            mask |= 1 << (i - 1)
-        masks.append(mask)
-    return _parts_from_masks(_context(d, r), masks)
+    masks = [_coalition_mask(d, c) for c in collections]
+    return _parts(d, r, coalition_up_sets(d.n_sources, [masks]))[0]
 
 
 def local_mi(d: JointDistribution, r: Realization,
              coalition: Iterable[int]) -> float:
     """Plain pointwise mutual information of one coalition about the target."""
-    mask = 0
-    for i in coalition:
-        if not 1 <= i <= d.n_sources:
-            raise DistributionError(f"source index {i} out of range")
-        mask |= 1 << (i - 1)
-    if mask == 0:
-        raise DistributionError("coalition must be nonempty")
-    ctx = _context(d, r)
-    p_a = ctx.prob((mask,), with_target=False)
-    p_ta = ctx.prob((mask,), with_target=True)
-    return _log2(p_ta) - _log2(p_a) - _log2(ctx.p_target())
+    mask = _coalition_mask(d, coalition)
+    (p_a,), (p_ta,), p_t = _union_masses(
+        d, r, coalition_up_sets(d.n_sources, [[mask]]))
+    return _log2(p_ta) - _log2(p_a) - _log2(p_t)
 
 
 def self_shared(d: JointDistribution, s: Sequence[int], alpha: Antichain) -> float:
@@ -338,16 +255,12 @@ class AverageDecomposition:
         return self.Pi[self.lattice.index(self.lattice.node_by_name(name))]
 
 
-def _exact_invert(lattice: RedundancyLattice,
-                  ratios: list[Fraction]) -> list[Fraction]:
-    """Multiplicative Moebius recursion on exact log-arguments."""
-    out: list[Fraction | None] = [None] * len(ratios)
-    for j in lattice.topological_order:
-        acc = ratios[j]
-        for k in lattice.strict_lower(int(j)):
-            acc /= out[k]
-        out[j] = acc
-    return out  # type: ignore[return-value]
+def _exact_atoms(lattice: RedundancyLattice,
+                 ratios: list[Fraction]) -> tuple[Fraction, ...]:
+    """Multiplicative Moebius inversion: prod of ratios[k] ** mu(k, j)."""
+    mu = np.rint(invert_array(lattice, np.eye(len(ratios)))).astype(int)
+    return tuple(math.prod(ratios[k] ** int(e) for k, e in enumerate(row) if e)
+                 for row in mu)
 
 
 def pointwise_decomposition(d: JointDistribution, r: Realization,
@@ -355,30 +268,22 @@ def pointwise_decomposition(d: JointDistribution, r: Realization,
                             ) -> PointwiseDecomposition:
     """Evaluate i+/i- at every node and Moebius-invert both lattices."""
     lat = lattice or enumerate_lattice(d.n_sources)
-    ctx = _context(d, r)
-    p_t = ctx.p_target()
-    size = len(lat.nodes)
-    ip = np.empty(size)
-    im = np.empty(size)
-    p_plus: list[Mass] = [0] * size
-    p_minus: list[Mass] = [0] * size
-    for j, a in enumerate(lat.nodes):
-        p_plus[j] = ctx.prob(a.masks, with_target=False)
-        p_minus[j] = ctx.prob(a.masks, with_target=True)
-        ip[j] = -_log2(p_plus[j])
-        im[j] = _log2(p_t) - _log2(p_minus[j])
-    pip = invert_array(lat, ip)
-    pim = invert_array(lat, im)
+    p_plus, p_minus, p_t = node_event_probabilities(d, r, lat)
+    log_t = _log2(p_t)
+    ip = np.array([-_log2(p) for p in p_plus])
+    im = np.array([log_t - _log2(p) for p in p_minus])
+    pi = invert_array(lat, np.stack([ip, im], axis=1))
+    pip, pim = pi[:, 0], pi[:, 1]
 
     exact = {}
-    if d.exact and size <= EXACT_RATIO_NODE_LIMIT:
-        ri_plus = [1 / Fraction(p) for p in p_plus]
-        ri_minus = [Fraction(p_t) / Fraction(p) for p in p_minus]
+    if d.exact and len(lat.nodes) <= EXACT_RATIO_NODE_LIMIT:
+        ri_plus = [1 / p for p in p_plus]
+        ri_minus = [p_t / p for p in p_minus]
         exact = {
             "exact_i_plus": tuple(ri_plus),
             "exact_i_minus": tuple(ri_minus),
-            "exact_pi_plus": tuple(_exact_invert(lat, ri_plus)),
-            "exact_pi_minus": tuple(_exact_invert(lat, ri_minus)),
+            "exact_pi_plus": _exact_atoms(lat, ri_plus),
+            "exact_pi_minus": _exact_atoms(lat, ri_minus),
         }
 
     return PointwiseDecomposition(
@@ -448,12 +353,14 @@ def average_decomposition(d: JointDistribution,
 def node_event_probabilities(d: JointDistribution, r: Realization,
                              lattice: RedundancyLattice | None = None,
                              ) -> tuple[list[Mass], list[Mass], Mass]:
-    """(P(E_node), P(t & E_node)) per node in lattice order, plus P(t)."""
+    """(P(E_node), P(t & E_node)) per node in lattice order, plus P(t).
+
+    One call of the event-mass kernel ``dist.union_event_masses`` on the
+    lattice's up-sets: exact for rational masses, a matrix product for
+    float masses.
+    """
     lat = lattice or enumerate_lattice(d.n_sources)
-    ctx = _context(d, r)
-    plus = [ctx.prob(a.masks, with_target=False) for a in lat.nodes]
-    minus = [ctx.prob(a.masks, with_target=True) for a in lat.nodes]
-    return plus, minus, ctx.p_target()
+    return _union_masses(d, r, lat.up_sets)
 
 
 def form_equivalence_max_dev(d: JointDistribution,
@@ -469,17 +376,13 @@ def form_equivalence_max_dev(d: JointDistribution,
     worst = 0.0
     total = d.total_mass()
     for r in d.support:
-        ctx = _context(d, r)
-        p_t = ctx.p_target()
-        for a in lat.nodes:
-            p_e = ctx.prob(a.masks, with_target=False)
-            p_te = ctx.prob(a.masks, with_target=True)
+        plus, minus, p_t = _union_masses(d, r, lat.up_sets)
+        excl, t_excl, _ = _union_masses(d, r, ~lat.up_sets)
+        for p_e, p_te, p_x, p_tx in zip(plus, minus, excl, t_excl):
             base = -_log2(p_e) - (_log2(p_t) - _log2(p_te))
             cond = _log2(p_te) - _log2(p_e) - _log2(p_t)
-            p_x = ctx.prob_complement_intersection(a.masks, with_target=False)
-            p_tx = ctx.prob_complement_intersection(a.masks, with_target=True)
-            excl = _log2(p_t - p_tx) - _log2(total - p_x) - _log2(p_t)
-            worst = max(worst, abs(base - cond), abs(base - excl))
+            excl_form = _log2(p_t - p_tx) - _log2(total - p_x) - _log2(p_t)
+            worst = max(worst, abs(base - cond), abs(base - excl_form))
     return worst
 
 
@@ -521,14 +424,13 @@ def child_meet_mass_identity_max_dev(d: JointDistribution,
     product of actual event probabilities.
     """
     lat = lattice or enumerate_lattice(d.n_sources)
-    plan = _child_meet_plan(lat)
+    j, g, mb, mbg = np.array(_child_meet_plan(lat), dtype=np.intp).reshape(-1, 4).T
+    masses, den = d.mass_array
     worst = 0.0
     for r in d.support:
-        plus, minus, _ = node_event_probabilities(d, r, lat)
-        for table in (plus, minus):
-            for j, g, mb, mbg in plan:
-                dev = abs(float(table[mbg] - (table[mb] + table[g] - table[j])))
-                worst = max(worst, dev)
+        _, sums, _ = union_event_masses(lat.up_sets, d.support_array, masses, r)
+        dev = np.abs(sums[mbg] - (sums[mb] + sums[g] - sums[j]))
+        worst = max(worst, float(dev.max(initial=0)) / (den or 1))
     return worst
 
 
@@ -543,14 +445,13 @@ def atom_via_closed_form(d: JointDistribution, r: Realization, alpha: Antichain,
     same formula under the target-conditioned measure.
     """
     lat = lattice or enumerate_lattice(d.n_sources)
-    ctx = _context(d, r)
-    if which == "plus":
-        prob = lambda a: ctx.prob(a.masks, with_target=False)
-    elif which == "minus":
-        p_t = ctx.p_target()
-        prob = lambda a: ctx.prob(a.masks, with_target=True) / p_t
-    else:
+    if which not in ("plus", "minus"):
         raise ValueError("which must be 'plus' or 'minus'")
+    plus, minus, p_t = node_event_probabilities(d, r, lat)
+    if which == "plus":
+        prob = lambda a: plus[lat.index(a)]
+    else:
+        prob = lambda a: minus[lat.index(a)] / p_t
     return closed_form_atom(lat, alpha, prob)
 
 
@@ -711,37 +612,38 @@ def axiom_suite(d: JointDistribution,
         return (-_log2(coll_t_marginal[coll].mass(joint))
                 + _log2(t_marginal.mass(Realization(t=r.t, s=()))))
 
+    # the reordered and extended coalition lists are the same at every r
+    reordered = [(a, variant) for a in lat.nodes if len(a.masks) > 1
+                 for variant in (tuple(reversed(a.masks)), a.masks[1:] + a.masks[:1])]
+    extended = [(a, extra) for a in lat.nodes for extra in range(1, 1 << n)]
+    variant_up_sets = coalition_up_sets(
+        n, [v for _, v in reordered] + [a.masks + (e,) for a, e in extended])
+
     for r in d.support:
-        ctx = _context(d, r)
         dec = pointwise_decomposition(d, r, lat)
         table = {a: (dec.i_plus[j], dec.i_minus[j])
                  for j, a in enumerate(lat.nodes)}
+        variant_parts = _parts(d, r, variant_up_sets)
 
         # (a) permutation invariance
-        for a in lat.nodes:
-            if len(a.masks) < 2:
-                continue
-            for variant in (tuple(reversed(a.masks)), a.masks[1:] + a.masks[:1]):
-                got = _parts_from_masks(ctx, variant)
-                want = table[a]
-                ok = abs(got[0] - want[0]) <= 1e-12 and abs(got[1] - want[1]) <= 1e-12
-                report.record(ok, "permutation", r,
-                              f"{a.name} reordered: {got} vs {want}")
+        for (a, _), got in zip(reordered, variant_parts):
+            want = table[a]
+            ok = abs(got[0] - want[0]) <= 1e-12 and abs(got[1] - want[1]) <= 1e-12
+            report.record(ok, "permutation", r,
+                          f"{a.name} reordered: {got} vs {want}")
 
         # (b) appending a collection never increases i+/i-
-        for a in lat.nodes:
+        for (a, extra_mask), got in zip(extended, variant_parts[len(reordered):]):
             base = table[a]
-            for extra_mask in range(1, 1 << n):
-                got = _parts_from_masks(ctx, a.masks + (extra_mask,))
-                ok = got[0] <= base[0] + 1e-12 and got[1] <= base[1] + 1e-12
-                report.record(ok, "monotone-append", r,
-                              f"{a.name} + {extra_mask:b}: {got} > {base}")
-                if any(m & extra_mask == m for m in a.masks):
-                    ok = (abs(got[0] - base[0]) <= 1e-12
-                          and abs(got[1] - base[1]) <= 1e-12)
-                    report.record(ok, "append-equality", r,
-                                  f"{a.name} + superset {extra_mask:b}: "
-                                  f"{got} != {base}")
+            ok = got[0] <= base[0] + 1e-12 and got[1] <= base[1] + 1e-12
+            report.record(ok, "monotone-append", r,
+                          f"{a.name} + {extra_mask:b}: {got} > {base}")
+            if any(m & extra_mask == m for m in a.masks):
+                ok = (abs(got[0] - base[0]) <= 1e-12
+                      and abs(got[1] - base[1]) <= 1e-12)
+                report.record(ok, "append-equality", r,
+                              f"{a.name} + superset {extra_mask:b}: "
+                              f"{got} != {base}")
 
         # (c) self-redundancy against the marginal oracle
         for coll in all_colls:
@@ -788,11 +690,12 @@ def duplicate_invariance_check(d: JointDistribution,
                           f"sources {i} and {j} differ on support")
             return report
     lat = enumerate_lattice(d.n_sources)
+    swapped = coalition_up_sets(d.n_sources, [
+        [_coalition_mask(d, [i if x == j else x for x in coll])
+         for coll in a.collections] for a in lat.nodes])
     for r in d.support:
         dec = pointwise_decomposition(d, r, lat)
-        for k, a in enumerate(lat.nodes):
-            swapped = [[i if x == j else x for x in coll] for coll in a.collections]
-            got = i_sx_parts_from_collections(d, r, swapped)
+        for k, (a, got) in enumerate(zip(lat.nodes, _parts(d, r, swapped))):
             want = (dec.i_plus[k], dec.i_minus[k])
             ok = abs(got[0] - want[0]) <= 1e-9 and abs(got[1] - want[1]) <= 1e-9
             report.record(ok, "twin-swap", r, f"{a.name}: {got} vs {want}")

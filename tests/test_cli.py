@@ -63,6 +63,19 @@ def test_compute_csv_file(tmp_path, capsys):
     assert code == 0 and "0.4150" in out
 
 
+def test_builtin_name_shadows_file(tmp_path, capsys, monkeypatch):
+    # a file named like a builtin is read only through an explicit path
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "xor").write_text(
+        "t,s1,s2,p\n0,0,0,0.5\n1,1,1,0.5\n")  # the rnd distribution
+    _, builtin = run(capsys, "compute", "xor", "--format", "json")
+    _, from_file = run(capsys, "compute", "./xor", "--format", "json")
+    assert json.loads(builtin)["averages"]["{1,2}"]["Pi"] == \
+        pytest.approx(math.log2(4 / 3))
+    assert json.loads(from_file)["averages"]["{1}{2}"]["Pi"] == \
+        pytest.approx(1.0)
+
+
 def test_compute_node_filter_and_precision(capsys):
     code, out = run(capsys, "compute", "xor", "--nodes", "{1,2}",
                     "--precision", "6", "--format", "json")
@@ -139,6 +152,14 @@ def test_optimize_command_stream(tmp_path, capsys):
     assert [x["step"] for x in lines] == [0, 1, 2, 3]
     assert all({"step", "objective", "grad_norm"} <= set(x) for x in lines)
     assert lines[-1]["objective"] >= lines[0]["objective"] - 1e-12
+
+
+def test_optimize_has_no_maximize_option(capsys):
+    # ascent is the default; --minimize is the only direction switch
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(["optimize", "xor", "--atom", "{1,2}",
+                                       "--maximize"])
+    capsys.readouterr()
 
 
 def test_optimize_mechanism_fixed(capsys):

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from helpers import random_grid_distribution
 from sxpid.lattice import (Antichain, BoundaryError, LatticeError, NODE_COUNTS,
-                           closed_form_atom, enumerate_lattice, leq, meet,
-                           moebius_invert, normalize_antichain, parse_node_name)
+                           closed_form_atom, enumerate_lattice, invert_array,
+                           leq, meet, moebius_invert, normalize_antichain,
+                           parse_node_name)
 
 
 def test_node_counts_small():
@@ -159,6 +160,45 @@ def test_moebius_resummation_oracle(n, data):
     for a in lat.nodes:
         resum = sum(pi[b] for b in lat.nodes if leq(b, a))
         assert resum == pytest.approx(values[a], abs=1e-9)
+
+
+def _downset_recursion(lat, v):
+    """Oracle: pi[j] = v[j] - sum of pi over the strict downset, bottom-up."""
+    pi = np.empty(len(v))
+    for j in lat.topological_order:
+        pi[j] = v[j] - pi[lat.strict_lower(int(j))].sum()
+    return pi
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_invert_array_matches_downset_recursion(n):
+    lat = enumerate_lattice(n)
+    rng = np.random.default_rng(n)
+    v = rng.uniform(-5, 5, len(lat))
+    assert np.max(np.abs(invert_array(lat, v) - _downset_recursion(lat, v))) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_invert_array_matrix_is_columnwise_bit_for_bit(n):
+    lat = enumerate_lattice(n)
+    rng = np.random.default_rng(10 + n)
+    V = rng.standard_normal((len(lat), 7))
+    got = invert_array(lat, V)
+    assert got.shape == V.shape
+    for c in range(V.shape[1]):
+        assert got[:, c].tobytes() == invert_array(lat, V[:, c]).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_invert_array_of_identity_is_moebius_function(n):
+    # mu(k, j) sits at [j, k]: integers, 1 on the diagonal, 0 unless k <= j
+    lat = enumerate_lattice(n)
+    mu = invert_array(lat, np.eye(len(lat)))
+    assert np.array_equal(mu, np.rint(mu))
+    assert np.all(np.diag(mu) == 1)
+    assert np.all(mu[~lat.leq_matrix.T] == 0)
+    # mu inverts the zeta matrix L (L[k, j] = k <= j); mu[j, k] = mu(k, j)
+    assert np.array_equal(mu @ lat.leq_matrix.T.astype(float), np.eye(len(lat)))
 
 
 def test_moebius_missing_node():

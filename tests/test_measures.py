@@ -4,12 +4,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import bits, random_grid_distribution, rational_distribution
-from sxpid.builtins import (parity_distribution, pwunq_distribution,
-                            rnd_distribution, rnderr_distribution,
-                            xor_distribution, xorduplicate_distribution)
-from sxpid.dist import (Alphabet, DistributionError, JointDistribution,
-                        Realization)
+from helpers import (bits, grid_points, random_grid_distribution,
+                     rational_distribution)
+from sxpid.builtins import (builtin_distribution, parity_distribution,
+                            pwunq_distribution, rnd_distribution,
+                            rnderr_distribution, xor_distribution,
+                            xorduplicate_distribution)
+from sxpid.dist import (Alphabet, CylinderEvent, DistributionError,
+                        JointDistribution, Realization, event_probability)
 from sxpid.lattice import Antichain, enumerate_lattice, leq
 from sxpid import measures as M
 
@@ -154,6 +156,92 @@ class TestParity3:
                 "{1,2,3}": L2(32 / 27)}
         for name, v in want.items():
             assert avg.pi_by_name(name) == pytest.approx(v, abs=1e-12), name
+
+
+# ---------------------------------------------------------------------------
+# the event-mass kernel against the support scan
+# ---------------------------------------------------------------------------
+
+BUILTINS_UP_TO_4 = ("xor", "pwunq", "rnd", "rnderr", "xorduplicate",
+                    "parity:1", "parity:2", "parity:3", "parity:4")
+
+
+def scanned_masses(d, r, alpha):
+    """(P(E), P(t & E)) of alpha's union event by dist.event_probability."""
+    def events(with_target):
+        return [CylinderEvent.from_realization(r, [i - 1 for i in coll],
+                                               with_target)
+                for coll in alpha.collections]
+    return event_probability(d, events(False)), event_probability(d, events(True))
+
+
+def test_kernel_masses_equal_support_scan_exact():
+    for name in BUILTINS_UP_TO_4:
+        d = builtin_distribution(name)
+        lat = enumerate_lattice(d.n_sources)
+        for r in d.support:
+            plus, minus, p_t = M.node_event_probabilities(d, r, lat)
+            assert p_t == event_probability(d, [CylinderEvent(target=r.t)])
+            for j, a in enumerate(lat.nodes):
+                assert (plus[j], minus[j]) == scanned_masses(d, r, a), (name, r, a)
+
+
+def test_kernel_masses_equal_support_scan_float():
+    # n = 4, 3-symbol alphabets, 40 of the 243 grid cells
+    rng = np.random.default_rng(31)
+    cells = grid_points(3, (3,) * 4)
+    picked = rng.choice(len(cells), size=40, replace=False)
+    raw = rng.uniform(0.05, 1.0, size=40)
+    trits = lambda name: Alphabet(name, ("0", "1", "2"))
+    d = JointDistribution.from_points(
+        trits("t"), [trits(f"s{i}") for i in range(1, 5)],
+        [(cells[k], float(w)) for k, w in zip(picked, raw / raw.sum())],
+        normalization_tolerance=1e-9)
+    lat = enumerate_lattice(4)
+    for r in d.support:
+        plus, minus, p_t = M.node_event_probabilities(d, r, lat)
+        assert abs(p_t - event_probability(d, [CylinderEvent(target=r.t)])) <= 1e-15
+        for j, a in enumerate(lat.nodes):
+            want_plus, want_minus = scanned_masses(d, r, a)
+            assert abs(plus[j] - want_plus) <= 1e-15
+            assert abs(minus[j] - want_minus) <= 1e-15
+
+
+def multiplicative_recursion(lat, ratios):
+    """Oracle: each atom's ratio divided by the atoms of its strict downset."""
+    out = [None] * len(ratios)
+    for j in lat.topological_order:
+        acc = ratios[j]
+        for k in lat.strict_lower(int(j)):
+            acc /= out[k]
+        out[j] = acc
+    return out
+
+
+def test_exact_atoms_equal_multiplicative_recursion():
+    for name in BUILTINS_UP_TO_4[:-1]:
+        d = builtin_distribution(name)
+        lat = enumerate_lattice(d.n_sources)
+        for r in d.support:
+            dec = M.pointwise_decomposition(d, r, lat)
+            assert list(dec.exact_pi_plus) == \
+                multiplicative_recursion(lat, list(dec.exact_i_plus))
+            assert list(dec.exact_pi_minus) == \
+                multiplicative_recursion(lat, list(dec.exact_i_minus))
+
+
+def test_parts_from_collections_validates_coalitions():
+    d = xor_distribution()
+    r = Realization(t=0, s=(1, 1))
+    assert M.i_sx_parts_from_collections(d, r, [[2], [1], [1, 2]]) == \
+        pytest.approx((M.i_sx_plus(d, r, node(2, [1], [2])),
+                       M.i_sx_minus(d, r, node(2, [1], [2]))), abs=1e-12)
+    with pytest.raises(DistributionError, match="source index 0"):
+        M.i_sx_parts_from_collections(d, r, [[0]])
+    with pytest.raises(DistributionError, match="source index 3"):
+        M.i_sx_parts_from_collections(d, r, [[1], [3]])
+    with pytest.raises(DistributionError, match="nonempty"):
+        M.i_sx_parts_from_collections(d, r, [[]])
 
 
 # ---------------------------------------------------------------------------
