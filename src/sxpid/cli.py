@@ -31,10 +31,10 @@ EXIT_ASSERTION = 3
 
 
 def _default_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("SXPID_WORKERS", "1")))
-    except ValueError:
-        return 1
+    value = os.environ.get("SXPID_WORKERS", "1")
+    if not value.strip().isdecimal() or int(value) < 1:
+        raise ValueError(f"SXPID_WORKERS must be a positive integer, got {value!r}")
+    return int(value)
 
 
 def _load_input(spec: str, input_format: str | None,
@@ -475,8 +475,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except (DistributionError, LatticeError, BoundaryError, KeyError,
             OSError, ValueError) as exc:

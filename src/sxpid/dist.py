@@ -460,6 +460,8 @@ def dump_csv(d: JointDistribution) -> str:
     every column of row k holds its symbol ``min(k, size - 1)``. A leading row
     that is a support point carries its mass and is not written again; any
     other leading row carries mass 0. The support follows in index order.
+    Float masses do not round-trip: the loader parses every mass as a
+    rational, so they reload as exact ``Fraction``s unequal to the floats.
     """
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")

@@ -204,11 +204,8 @@ class RedundancyLattice:
         self._name_index = {a.name: i for i, a in enumerate(self.nodes)}
         self.bottom = Antichain.of(n, [[i] for i in range(1, n + 1)])
         self.top = Antichain.of(n, [range(1, n + 1)])
-        self._leq: np.ndarray | None = None
-        self._children: list[tuple[int, ...]] | None = None
         self._strict_lower: dict[int, np.ndarray] = {}
         self._meet_cache: dict[tuple[int, int], int] = {}
-        self._topo: np.ndarray | None = None
 
     @staticmethod
     def _enumerate(n: int) -> list[Antichain]:
@@ -256,14 +253,16 @@ class RedundancyLattice:
         """Each node's up-set as one integer, bit c for coalition mask c."""
         return self.up_sets @ (np.uint64(1) << np.arange(1 << self.n, dtype=np.uint64))
 
-    @property
+    @cached_property
     def leq_matrix(self) -> np.ndarray:
         """Boolean matrix L with L[i, j] = (nodes[i] <= nodes[j])."""
-        if self._leq is None:
-            # i <= j iff the up-set of j is a subset of the up-set of i
-            keys = self._up_keys
-            self._leq = (keys[None, :] & ~keys[:, None]) == 0
-        return self._leq
+        # i <= j iff the up-set of j is a subset of the up-set of i; rows in
+        # blocks, so no N x N integer temporary is held (460 MB at n = 5)
+        keys = self._up_keys
+        leq = np.empty((len(keys), len(keys)), dtype=bool)
+        for a in range(0, len(keys), 256):
+            leq[a:a + 256] = (keys & ~keys[a:a + 256, None]) == 0
+        return leq
 
     def leq_idx(self, i: int, j: int) -> bool:
         return bool(self.leq_matrix[i, j])
@@ -299,36 +298,26 @@ class RedundancyLattice:
             passes.append((upper, order[np.searchsorted(keys, wanted, sorter=order)]))
         return passes
 
-    @property
+    @cached_property
     def topological_order(self) -> np.ndarray:
         """Node indices sorted bottom-up (downsets before their nodes)."""
-        if self._topo is None:
-            counts = self.leq_matrix.sum(axis=0)  # |downset| including self
-            self._topo = np.argsort(counts, kind="stable")
-        return self._topo
+        counts = self.leq_matrix.sum(axis=0)  # |downset| including self
+        return np.argsort(counts, kind="stable")
 
     # -- children ----------------------------------------------------------
 
-    @property
+    @cached_property
     def children_table(self) -> list[tuple[int, ...]]:
-        """children[j] = indices of maximal strict lower bounds of node j.
+        """children[j] = indices of the nodes covered by node j, ascending.
 
-        Computed from the full order relation by maximality filtering:
-        i is a child of j iff i < j and no k with i < k < j exists.
+        These are the ``lower`` of the ``moebius_passes`` pairs whose
+        ``upper`` is j: the pairs are exactly the cover edges.
         """
-        if self._children is None:
-            L = self.leq_matrix
-            table = []
-            for j in range(len(self.nodes)):
-                low = self.strict_lower(j)
-                if low.size == 0:
-                    table.append(())
-                    continue
-                sub = L[np.ix_(low, low)]
-                maximal = sub.sum(axis=1) == 1  # only comparable to itself
-                table.append(tuple(int(i) for i in low[maximal]))
-            self._children = table
-        return self._children
+        upper, lower = (np.concatenate(x) for x in zip(*self.moebius_passes))
+        order = np.lexsort((lower, upper))
+        lows = lower[order].tolist()
+        ends = np.searchsorted(upper[order], np.arange(len(self.nodes) + 1)).tolist()
+        return [tuple(lows[a:b]) for a, b in zip(ends, ends[1:])]
 
     def children(self, a: Antichain) -> tuple[Antichain, ...]:
         return tuple(self.nodes[i] for i in self.children_table[self.index(a)])
@@ -407,6 +396,14 @@ def _log2(x: Mass) -> float:
     if x <= 0.0:
         raise BoundaryError("log of a nonpositive probability")
     return math.log2(x)
+
+
+def _log2_all(xs: Sequence[Mass]) -> list[float]:
+    """``_log2`` of each mass, bit for bit; positive floats take ``math.log2``
+    in one ``map`` (``np.log2`` differs from it in the last place for some)."""
+    if isinstance(xs[0], Fraction) or not min(xs) > 0.0:  # NaN-safe
+        return [_log2(x) for x in xs]
+    return list(map(math.log2, xs))
 
 
 def closed_form_atom(lattice: RedundancyLattice, alpha: Antichain,

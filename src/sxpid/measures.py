@@ -42,8 +42,9 @@ import numpy as np
 
 from .dist import (Alphabet, CylinderEvent, DistributionError, JointDistribution,
                    Mass, Realization, marginal, union_event_masses)
-from .lattice import (Antichain, RedundancyLattice, _log2, closed_form_atom,
-                      coalition_up_sets, enumerate_lattice, invert_array)
+from .lattice import (Antichain, RedundancyLattice, _log2, _log2_all,
+                      closed_form_atom, coalition_up_sets, enumerate_lattice,
+                      invert_array)
 
 #: Exact rational log-arguments are carried only for lattices this small;
 #: beyond n=3 the fractions grow without bound through the recursion.
@@ -269,9 +270,8 @@ def pointwise_decomposition(d: JointDistribution, r: Realization,
     """Evaluate i+/i- at every node and Moebius-invert both lattices."""
     lat = lattice or enumerate_lattice(d.n_sources)
     p_plus, p_minus, p_t = node_event_probabilities(d, r, lat)
-    log_t = _log2(p_t)
-    ip = np.array([-_log2(p) for p in p_plus])
-    im = np.array([log_t - _log2(p) for p in p_minus])
+    ip = -np.array(_log2_all(p_plus))
+    im = _log2(p_t) - np.array(_log2_all(p_minus))
     pi = invert_array(lat, np.stack([ip, im], axis=1))
     pip, pim = pi[:, 0], pi[:, 1]
 
@@ -288,8 +288,9 @@ def pointwise_decomposition(d: JointDistribution, r: Realization,
 
     return PointwiseDecomposition(
         realization=r, weight=d.mass(r), n=d.n_sources,
-        i_plus=tuple(ip), i_minus=tuple(im), i=tuple(ip - im),
-        pi_plus=tuple(pip), pi_minus=tuple(pim), pi=tuple(pip - pim),
+        i_plus=tuple(ip.tolist()), i_minus=tuple(im.tolist()),
+        i=tuple((ip - im).tolist()), pi_plus=tuple(pip.tolist()),
+        pi_minus=tuple(pim.tolist()), pi=tuple((pip - pim).tolist()),
         **exact)
 
 
@@ -336,13 +337,13 @@ def average_decomposition(d: JointDistribution,
     """Mass-weighted averages over the support (zero-mass outcomes carry
     no weight and are never evaluated)."""
     decs = decompositions or decompose_support(d, lattice, workers)
-    weights = [float(dec.weight) for dec in decs]
-    size = len(decs[0].i_plus)
+    weights = np.array([[float(dec.weight)] for dec in decs])
 
     def avg(attr: str) -> tuple[float, ...]:
-        cols = [getattr(dec, attr) for dec in decs]
-        return tuple(math.fsum(w * col[j] for w, col in zip(weights, cols))
-                     for j in range(size))
+        # the products are those of a per-term fsum, so each sum is the
+        # correctly rounded one
+        terms = weights * np.array([getattr(dec, attr) for dec in decs])
+        return tuple(map(math.fsum, terms.T.tolist()))
 
     return AverageDecomposition(
         n=d.n_sources,

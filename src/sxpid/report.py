@@ -20,10 +20,9 @@ from .measures import AverageDecomposition, PointwiseDecomposition
 
 
 def display_order(lattice: RedundancyLattice) -> list[int]:
-    """Node indices sorted bottom-up, canonical order within a level."""
-    sizes = lattice.leq_matrix.sum(axis=0)
-    return sorted(range(len(lattice.nodes)),
-                  key=lambda j: (int(sizes[j]), lattice.nodes[j].sort_key()))
+    """Node indices bottom-up, canonical order within a level: the stable
+    ``topological_order``, as nodes are stored in canonical order."""
+    return lattice.topological_order.tolist()
 
 
 def realization_label(d: JointDistribution, r: Realization) -> str:

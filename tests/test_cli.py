@@ -184,7 +184,17 @@ def test_workers_env_default(monkeypatch):
     monkeypatch.setenv("SXPID_WORKERS", "3")
     assert cli._default_workers() == 3
     monkeypatch.setenv("SXPID_WORKERS", "junk")
-    assert cli._default_workers() == 1
+    with pytest.raises(ValueError, match="SXPID_WORKERS.*'junk'"):
+        cli._default_workers()
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-1", "2.5", ""])
+def test_invalid_workers_env_exits_2(monkeypatch, capsys, value):
+    monkeypatch.setenv("SXPID_WORKERS", value)
+    assert cli.main(["compute", "xor"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"SXPID_WORKERS must be a positive integer, got {value!r}" in captured.err
 
 
 def test_builtins_are_exact_rationals():

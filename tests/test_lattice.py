@@ -11,6 +11,7 @@ from sxpid.lattice import (Antichain, BoundaryError, LatticeError, NODE_COUNTS,
                            closed_form_atom, enumerate_lattice, invert_array,
                            leq, meet, moebius_invert, normalize_antichain,
                            parse_node_name)
+from sxpid.report import display_order
 
 
 def test_node_counts_small():
@@ -115,6 +116,33 @@ def test_children_structure():
         between = [k for k in range(len(lat3))
                    if k not in (c, p) and lat3.leq_idx(c, k) and lat3.leq_idx(k, p)]
         assert between == []
+
+
+def maximal_strict_lower(lat):
+    """Oracle: children by maximality filtering of the order relation."""
+    L = lat.leq_matrix
+    table = []
+    for j in range(len(lat)):
+        low = lat.strict_lower(j)
+        maximal = L[np.ix_(low, low)].sum(axis=1) == 1  # comparable to itself only
+        table.append(tuple(int(i) for i in low[maximal]))
+    return table
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_children_table_equals_maximality_filter(n):
+    lat = enumerate_lattice(n)
+    assert lat.children_table == maximal_strict_lower(lat)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_display_order_is_downset_size_then_canonical(n):
+    # the definition reports had before they read the topological order
+    lat = enumerate_lattice(n)
+    sizes = lat.leq_matrix.sum(axis=0)
+    want = sorted(range(len(lat)),
+                  key=lambda j: (int(sizes[j]), lat.nodes[j].sort_key()))
+    assert display_order(lat) == want
 
 
 def test_topological_order_bottom_up():

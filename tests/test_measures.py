@@ -12,7 +12,7 @@ from sxpid.builtins import (builtin_distribution, parity_distribution,
                             xorduplicate_distribution)
 from sxpid.dist import (Alphabet, CylinderEvent, DistributionError,
                         JointDistribution, Realization, event_probability)
-from sxpid.lattice import Antichain, enumerate_lattice, leq
+from sxpid.lattice import Antichain, enumerate_lattice, invert_array, leq
 from sxpid import measures as M
 
 L2 = math.log2
@@ -242,6 +242,49 @@ def test_parts_from_collections_validates_coalitions():
         M.i_sx_parts_from_collections(d, r, [[1], [3]])
     with pytest.raises(DistributionError, match="nonempty"):
         M.i_sx_parts_from_collections(d, r, [[]])
+
+
+# ---------------------------------------------------------------------------
+# vectorized logs and averages against per-node references
+# ---------------------------------------------------------------------------
+
+def per_node_log2(p):
+    if isinstance(p, Fraction):
+        return L2(p.numerator) - L2(p.denominator)
+    return L2(p)
+
+
+def reference_pointwise(d, r, lat):
+    """The six fields from one math.log2 per node, as Python float tuples."""
+    plus, minus, p_t = M.node_event_probabilities(d, r, lat)
+    ip = [-per_node_log2(p) for p in plus]
+    im = [per_node_log2(p_t) - per_node_log2(p) for p in minus]
+    pi = invert_array(lat, np.array([ip, im]).T)
+    pip, pim = pi[:, 0].tolist(), pi[:, 1].tolist()
+    return {"i_plus": tuple(ip), "i_minus": tuple(im),
+            "i": tuple(a - b for a, b in zip(ip, im)), "pi_plus": tuple(pip),
+            "pi_minus": tuple(pim), "pi": tuple(a - b for a, b in zip(pip, pim))}
+
+
+FIELDS = ("i_plus", "i_minus", "i", "pi_plus", "pi_minus", "pi")
+
+
+@pytest.mark.parametrize("name", ["float-n4"] + list(BUILTINS_UP_TO_4[:-1]))
+def test_pointwise_and_average_equal_per_node_reference(name):
+    d = (random_grid_distribution(4, np.random.default_rng(17), s_card=3)
+         if name == "float-n4" else builtin_distribution(name))
+    lat = enumerate_lattice(d.n_sources)
+    decs = M.decompose_support(d, lat)
+    for dec in decs:
+        want = reference_pointwise(d, dec.realization, lat)
+        for f in FIELDS:
+            assert getattr(dec, f) == want[f], (name, dec.realization, f)
+            assert all(type(x) is float for x in getattr(dec, f))
+    avg = M.average_decomposition(d, lat, decompositions=decs)
+    for f in FIELDS:
+        want = tuple(math.fsum(float(dec.weight) * getattr(dec, f)[j] for dec in decs)
+                     for j in range(len(lat)))
+        assert getattr(avg, f[0].upper() + f[1:]) == want, f
 
 
 # ---------------------------------------------------------------------------
