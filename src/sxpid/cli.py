@@ -301,9 +301,27 @@ def cmd_lattice(args) -> int:
     return EXIT_OK
 
 
+def _check_interior_options(args) -> None:
+    if not (math.isfinite(args.epsilon) and args.epsilon > 0):
+        raise ValueError(f"--epsilon must be finite and > 0, got {args.epsilon!r}")
+    if not 0 <= args.mix < 1:  # also rejects NaN
+        raise ValueError(f"--mix must be in [0, 1), got {args.mix!r}")
+
+
+def _start_point(d: JointDistribution, args) -> grad.SimplexPoint:
+    """The input on its full grid, mixed with the uniform grid pmf by --mix."""
+    try:
+        return grad.interior_mix(d, args.mix, args.epsilon)
+    except BoundaryError as exc:
+        raise BoundaryError(f"{exc}; --mix LAMBDA (0 < LAMBDA < 1) mixes in the "
+                            "uniform grid distribution to move off the boundary"
+                            ) from None
+
+
 def cmd_gradient(args) -> int:
+    _check_interior_options(args)
     d = _load_input(args.input, args.input_format, args.tolerance)
-    point = grad.simplex_point_from_distribution(d, args.epsilon)
+    point = _start_point(d, args)
     lat = enumerate_lattice(d.n_sources)
     alpha = lat.node_by_name(args.atom)
     if args.realization:
@@ -339,6 +357,14 @@ def cmd_gradient(args) -> int:
 
 
 def cmd_optimize(args) -> int:
+    _check_interior_options(args)
+    if args.steps < 0:
+        raise ValueError(f"--steps must be >= 0, got {args.steps}")
+    if not math.isfinite(args.lr):
+        raise ValueError(f"--lr must be finite, got {args.lr!r}")
+    if args.mechanism_fixed and args.mix:
+        raise ValueError("--mix cannot be combined with --mechanism-fixed, "
+                         "which keeps the input's p(t|s)")
     d = _load_input(args.input, args.input_format, args.tolerance)
     lat = enumerate_lattice(d.n_sources)
     alpha = lat.node_by_name(args.atom)
@@ -349,7 +375,7 @@ def cmd_optimize(args) -> int:
             maximize=not args.minimize, steps=args.steps,
             learning_rate=args.lr, epsilon=args.epsilon)
     else:
-        point = grad.simplex_point_from_distribution(d, args.epsilon)
+        point = _start_point(d, args)
         traj = grad.optimize_atom(point, alpha, which=args.which,
                                   maximize=not args.minimize, steps=args.steps,
                                   learning_rate=args.lr)
@@ -443,6 +469,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.set_defaults(fn=cmd_lattice)
 
+    mix_help = ("start from (1 - LAMBDA) p + LAMBDA uniform over the grid, "
+                "0 <= LAMBDA < 1 (default 0)")
     p = sub.add_parser("gradient", help="analytic gradient of an atom")
     add_io(p)
     p.add_argument("--atom", required=True)
@@ -451,6 +479,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated symbols t,s1,...,sn (default: averaged)")
     p.add_argument("--check-fd", action="store_true")
     p.add_argument("--epsilon", type=float, default=grad.DEFAULT_INTERIOR_MARGIN)
+    p.add_argument("--mix", type=float, default=0.0, metavar="LAMBDA",
+                   help=mix_help)
     p.set_defaults(fn=cmd_gradient)
 
     p = sub.add_parser("optimize", help="projected gradient on the simplex")
@@ -463,6 +493,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mechanism-fixed", action="store_true",
                    help="hold p(t|s) fixed, optimize the source pmf")
     p.add_argument("--epsilon", type=float, default=grad.DEFAULT_INTERIOR_MARGIN)
+    p.add_argument("--mix", type=float, default=0.0, metavar="LAMBDA",
+                   help=mix_help)
     p.set_defaults(fn=cmd_optimize)
 
     p = sub.add_parser("bench", help="lattice size and decomposition timing")

@@ -12,21 +12,36 @@ Derivatives per coordinate k (natural log divided out as 1/ln 2):
     d i+ / dp_k = -[k in E] / (P(E) ln2)
     d i- / dp_k =  [k in T] / (P(T) ln2) - [k in T&E] / (P(T&E) ln2)
 
-Event masses and the indicators [k in E] come from the event-mass kernel
-``dist.union_event_masses``, run over the grid cells with the raw
-coordinates as masses, so they are matrix products rather than correctly
-rounded sums. Atom gradients come either from Moebius inversion of the
-gradient rows above (``lattice.invert_array``, the "recursion" path) or
-from the inclusion-exclusion closed form, whose terms are logs of event
-masses as well. The two paths agree wherever the closed form's child
-ordering is stable; at ties the recursion value is used and a warning is
-emitted.
+Agreement basis. Cell k lies in the union event E_u of realization r iff
+the mask c = agree(k, r) of the sources on which k agrees with r is in the
+up-set of u, so [k in E_u] = up_sets[u, c]. An atom is pi_j = sum_u
+mu(u, j) i_u, with mu(., j) = ``lattice.moebius_row``, the transpose of
+``lattice.invert_array``. Its partials therefore depend on k only through
+c and [t_k = t_r]:
+
+    d pi+_j / dp_k = W+[c],  W+ = -(mu(., j) / P(E)) @ up_sets / ln2
+    d pi-_j / dp_k = [t_k = t_r] W-[c],
+                     W- = -(mu(., j) / P(T&E)) @ up_sets / ln2
+                          + sum_u mu(u, j) / (P(T) ln2)
+
+one product and one gather per realization, with no inversion of gradient
+rows; an i-part is the same with mu(., j) replaced by the unit vector e_j.
+The route is exact at ties, where the inclusion-exclusion closed form
+(``grad_atom(path="closed")``, kept as the independent check) has no
+stable child order.
+
+Numerics. Event masses come from ``dist.union_event_masses``, one call per
+realization over the grid cells, and all realizations' i-parts are
+inverted by one ``invert_array`` call; columns invert independently, so
+values are bit for bit those of one realization at a time, and averages
+are summed sequentially in grid order. Gradients are contracted in the
+agreement basis, so they differ from inverting the gradient rows in the
+order of summation only.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
@@ -35,7 +50,7 @@ import numpy as np
 
 from .dist import JointDistribution, Realization, union_event_masses
 from .lattice import (Antichain, BoundaryError, RedundancyLattice,
-                      enumerate_lattice, invert_array)
+                      enumerate_lattice, invert_array, moebius_row)
 
 _LN2 = math.log(2.0)
 
@@ -135,58 +150,61 @@ def _events(p: np.ndarray, shape: tuple[int, ...], r: Realization) -> _Events:
     return _Events(lat, inside, points[:, 0] == r.t, masses, float(p_t))
 
 
-def _select(parts: np.ndarray, which: str) -> np.ndarray:
-    """The plus column, the minus column, or their difference for "net"."""
-    if which == "net":
-        return parts[:, 0] - parts[:, 1]
-    return parts[:, 0 if which == "plus" else 1]
+def _cell(shape: tuple[int, ...], r: Realization) -> int:
+    return int(np.ravel_multi_index((r.t, *r.s), shape))
 
 
 # ---------------------------------------------------------------------------
 # Values and gradients on raw coordinate vectors.
 # ---------------------------------------------------------------------------
 
-def _i_parts(ev: _Events) -> np.ndarray:
-    """Columns i+ and i- over the nodes."""
-    return np.stack([-np.log2(ev.masses[:, 0]),
-                     math.log2(ev.p_t) - np.log2(ev.masses[:, 1])], axis=1)
+def _evaluate(p: np.ndarray, shape: tuple[int, ...], cells: np.ndarray, j: int,
+              quantity: str, which: str) -> tuple[np.ndarray, np.ndarray]:
+    """Node j's i-part ("i") or atom ("pi") at the realizations on the grid
+    ``cells``, and its partials in the agreement basis (module docstring).
 
+    Returns ``(values, rows)``: values[r] at the realization on cells[r],
+    and rows[r, k], its partial with respect to raw coordinate k.
+    """
+    lat = enumerate_lattice(len(shape) - 1)
+    points = _grid_points(shape)
+    real = points[cells]
+    evs = [_events(p, shape, Realization(t=c[0], s=tuple(c[1:])))
+           for c in real.tolist()]
+    p_e, p_te = np.stack([ev.masses for ev in evs], axis=2).transpose(1, 0, 2)
+    p_t = np.array([ev.p_t for ev in evs])
+    log_p_t = np.array([math.log2(x) for x in p_t])
+    parts = np.concatenate([-np.log2(p_e), log_p_t - np.log2(p_te)], axis=1)
+    if quantity == "pi":
+        parts = invert_array(lat, parts)
+    w = moebius_row(lat, j) if quantity == "pi" else np.eye(1, len(lat), j)[0]
 
-def _pi_parts(ev: _Events) -> np.ndarray:
-    """Columns pi+ and pi- over the nodes."""
-    return invert_array(ev.lattice, _i_parts(ev))
-
-
-def _grad_i_all(ev: _Events, which: str) -> np.ndarray:
-    """Gradients of i+ / i- / i for every node, rows in node order."""
-    rows = np.zeros(ev.inside.shape)
-    if which in ("plus", "net"):
-        rows -= ev.inside / (ev.masses[:, :1] * _LN2)
-    if which in ("minus", "net"):
-        sign = -1.0 if which == "net" else 1.0
-        rows += sign * (ev.target / (ev.p_t * _LN2)
-                        - (ev.inside & ev.target) / (ev.masses[:, 1:] * _LN2))
-    return rows
-
-
-def _grad_pi_all(ev: _Events, which: str) -> np.ndarray:
-    """Recursion-path gradients for every node, rows in node order."""
-    return invert_array(ev.lattice, _grad_i_all(ev, which))
+    up = lat.up_sets.astype(float)
+    agree = (points[None, :, 1:] == real[:, None, 1:]) @ (1 << np.arange(len(shape) - 1))
+    rr = np.arange(len(cells))[:, None]
+    d_plus = (-(w[:, None] / p_e).T @ up / _LN2)[rr, agree]
+    w_minus = -(w[:, None] / p_te).T @ up / _LN2 + (w.sum() / (p_t * _LN2))[:, None]
+    d_minus = np.where(points[None, :, 0] == real[:, None, 0], w_minus[rr, agree], 0.0)
+    plus, minus = np.split(parts[j], 2)
+    if which == "net":
+        return plus - minus, d_plus - d_minus
+    return (plus, d_plus) if which == "plus" else (minus, d_minus)
 
 
 def _grad_pi_closed(ev: _Events, j: int, which: str) -> np.ndarray:
     """Closed-form-path gradient for one node (plus or minus only).
 
-    Raises BoundaryError-adjacent ties to the caller via ValueError so it
-    can fall back to the recursion path.
+    Raises ValueError when child event probabilities tie, where the
+    closed form's child order is not differentiable.
     """
     lat = ev.lattice
-    kids = lat.children_table[j]
-    if not kids:
-        return _grad_i_all(ev, which)[j]
     col = 0 if which == "plus" else 1
     ind = (ev.inside if which == "plus" else ev.inside & ev.target).astype(float)
     mass = ev.masses[:, col]
+    kids = lat.children_table[j]
+    if not kids:
+        g = -ind[j] / (mass[j] * _LN2)
+        return g + ev.target / (ev.p_t * _LN2) if which == "minus" else g
     probs = [(mass[c], lat.nodes[c].sort_key(), c) for c in kids]
     vals = sorted(v for v, _, _ in probs)
     if any(b - a <= TIE_TOLERANCE for a, b in zip(vals, vals[1:])):
@@ -235,81 +253,66 @@ def grad_i_sx_parts(point: SimplexPoint, r: Realization, alpha: Antichain,
                     which: str = "net") -> GradientRecord:
     """Analytic gradient of i+ / i- / i at one realization and node."""
     _check_point(point, alpha)
-    ev = _events(point.p, point.shape, r)
-    g = _grad_i_all(ev, which)[ev.lattice.index(alpha)]
-    return GradientRecord(f"i_{which}", alpha, r, point.shape, g)
+    j = enumerate_lattice(point.n_sources).index(alpha)
+    _, rows = _evaluate(point.p, point.shape, [_cell(point.shape, r)], j, "i", which)
+    return GradientRecord(f"i_{which}", alpha, r, point.shape, rows[0])
 
 
 def grad_atom(point: SimplexPoint, r: Realization, alpha: Antichain,
               which: str = "net", path: str = "auto") -> GradientRecord:
     """Analytic gradient of an atom.
 
-    ``path`` is "closed" (inclusion-exclusion chain rule), "recursion"
-    (signed sum of i-part gradients over the downset), or "auto": the
-    closed form with a recursion fallback when child event probabilities
-    tie, in which case a warning is emitted — the ordering in the closed
-    form is not differentiable across a tie, the measure itself is.
+    ``path`` is "recursion" or "auto" (the agreement-basis contraction of
+    the i-part gradients over the downset, exact at ties) or "closed" (the
+    inclusion-exclusion chain rule, kept as an independent check), which
+    raises ValueError when child event probabilities tie: the ordering in
+    the closed form is not differentiable across a tie, the measure is.
     """
     _check_point(point, alpha)
-    ev = _events(point.p, point.shape, r)
-    j = ev.lattice.index(alpha)
-    if path == "recursion":
-        g = _grad_pi_all(ev, which)[j]
-        return GradientRecord(f"pi_{which}", alpha, r, point.shape, g)
-    try:
+    if path not in ("auto", "recursion", "closed"):
+        raise ValueError(f"path must be 'auto', 'recursion' or 'closed', got {path!r}")
+    j = enumerate_lattice(point.n_sources).index(alpha)
+    if path == "closed":
+        ev = _events(point.p, point.shape, r)
         if which == "net":
             g = _grad_pi_closed(ev, j, "plus") - _grad_pi_closed(ev, j, "minus")
         else:
             g = _grad_pi_closed(ev, j, which)
-    except ValueError:
-        if path == "closed":
-            raise
-        warnings.warn(f"tied child event probabilities at {alpha.name}; "
-                      "using the recursion-path gradient", RuntimeWarning,
-                      stacklevel=2)
-        g = _grad_pi_all(ev, which)[j]
+    else:
+        g = _evaluate(point.p, point.shape, [_cell(point.shape, r)], j, "pi",
+                      which)[1][0]
     return GradientRecord(f"pi_{which}", alpha, r, point.shape, g)
 
 
-def _support_realizations(shape: tuple[int, ...],
-                          mask: np.ndarray | None) -> list[tuple[int, Realization]]:
-    out = []
-    for k, idx in enumerate(np.ndindex(*shape)):
-        if mask is None or mask[k]:
-            out.append((k, Realization(t=idx[0], s=tuple(idx[1:]))))
-    return out
+def _average_and_grad(p: np.ndarray, shape: tuple[int, ...], alpha: Antichain,
+                      which: str, support: np.ndarray | None,
+                      ) -> tuple[float, np.ndarray]:
+    """Mass-weighted atom average over the grid (or a support mask) and its
+    gradient, weight term plus measure term, from one evaluation."""
+    cells = np.arange(p.size) if support is None else np.flatnonzero(support)
+    j = enumerate_lattice(len(shape) - 1).index(alpha)
+    values, rows = _evaluate(p, shape, cells, j, "pi", which)
+    total = 0.0
+    for pk, v in zip(p[cells].tolist(), values.tolist()):
+        total += pk * v
+    g = p[cells] @ rows
+    g[cells] += values
+    return total, g
 
 
 def average_atom_value(p: np.ndarray, shape: tuple[int, ...], alpha: Antichain,
                        which: str = "net",
                        support: np.ndarray | None = None) -> float:
     """Mass-weighted atom average over the grid (or a support mask)."""
-    lat = enumerate_lattice(len(shape) - 1)
-    j = lat.index(alpha)
-    total = 0.0
-    for k, r in _support_realizations(shape, support):
-        total += p[k] * _select(_pi_parts(_events(p, shape, r)), which)[j]
-    return total
+    return _average_and_grad(p, shape, alpha, which, support)[0]
 
 
 def grad_average(point: SimplexPoint, alpha: Antichain,
                  which: str = "net") -> GradientRecord:
     """Gradient of the averaged atom: weight term plus measure term."""
     _check_point(point, alpha)
-    g = _grad_average_raw(point.p, point.shape, alpha, which, None)
+    g = _average_and_grad(point.p, point.shape, alpha, which, None)[1]
     return GradientRecord(f"avg_pi_{which}", alpha, None, point.shape, g)
-
-
-def _grad_average_raw(p: np.ndarray, shape: tuple[int, ...], alpha: Antichain,
-                      which: str, support: np.ndarray | None) -> np.ndarray:
-    lat = enumerate_lattice(len(shape) - 1)
-    j = lat.index(alpha)
-    g = np.zeros_like(p)
-    for k, r in _support_realizations(shape, support):
-        ev = _events(p, shape, r)
-        g[k] += _select(_pi_parts(ev), which)[j]     # d weight / dp_k
-        g += p[k] * _grad_pi_all(ev, which)[j]       # weight * d atom / dp
-    return g
 
 
 # ---------------------------------------------------------------------------
@@ -354,10 +357,8 @@ def pointwise_value(p: np.ndarray, shape: tuple[int, ...], r: Realization,
     """
     if quantity not in ("i", "pi"):
         raise ValueError("quantity must be 'i' or 'pi'")
-    ev = _events(p, shape, r)
-    parts = _i_parts(ev) if quantity == "i" else _pi_parts(ev)
-    return float(_select(parts, which)[ev.lattice.index(alpha)])
-
+    j = enumerate_lattice(len(shape) - 1).index(alpha)
+    return float(_evaluate(p, shape, [_cell(shape, r)], j, quantity, which)[0][0])
 
 # ---------------------------------------------------------------------------
 # Projected gradient optimization on the simplex interior.
@@ -405,8 +406,8 @@ def optimize_atom(start: SimplexPoint, alpha: Antichain, which: str = "net",
     x = start.p.copy()
     traj = []
     for it in range(steps + 1):
-        obj = average_atom_value(x, start.shape, alpha, which)
-        g = sign * _grad_average_raw(x, start.shape, alpha, which, None)
+        obj, g = _average_and_grad(x, start.shape, alpha, which, None)
+        g = sign * g
         g_proj = g - g.mean()
         norm = float(np.linalg.norm(g_proj))
         traj.append(TrajectoryStep(it, x.copy(), obj, norm))
@@ -450,8 +451,7 @@ def optimize_atom_mechanism_fixed(mechanism: np.ndarray, q0: np.ndarray,
     traj = []
     for it in range(steps + 1):
         joint = (M * q[None, :]).reshape(-1)
-        obj = average_atom_value(joint, shape, alpha, which, support)
-        g_joint = _grad_average_raw(joint, shape, alpha, which, support)
+        obj, g_joint = _average_and_grad(joint, shape, alpha, which, support)
         g_q = sign * (M * g_joint.reshape(n_t, src_size)).sum(axis=0)
         g_proj = g_q - g_q.mean()
         norm = float(np.linalg.norm(g_proj))

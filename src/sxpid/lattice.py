@@ -362,6 +362,22 @@ def invert_array(lattice: RedundancyLattice, v: np.ndarray) -> np.ndarray:
     return pi
 
 
+def moebius_row(lattice: RedundancyLattice, j: int) -> np.ndarray:
+    """mu(u, j) for every node u: row j of ``invert_array`` on the identity.
+
+    This is the transpose of ``invert_array``: the passes run in reverse
+    order with the roles of ``upper`` and ``lower`` swapped, so that
+    ``moebius_row(lattice, j) @ v`` is ``invert_array(lattice, v)[j]`` up to
+    the order of summation. Within a pass the ``lower`` indices are distinct
+    and none is an ``upper`` of that pass, so each update is exact.
+    """
+    y = np.zeros(len(lattice.nodes))
+    y[j] = 1.0
+    for upper, lower in reversed(lattice.moebius_passes):
+        y[lower] -= y[upper]
+    return y
+
+
 def moebius_invert(lattice: RedundancyLattice,
                    values: Mapping[Antichain, float],
                    verify_tol: float | None = 1e-9) -> dict[Antichain, float]:

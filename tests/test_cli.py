@@ -170,6 +170,44 @@ def test_optimize_mechanism_fixed(capsys):
     assert first["objective"] == pytest.approx(math.log2(4 / 3), abs=1e-9)
 
 
+def test_gradient_mix_moves_builtin_off_boundary(capsys):
+    assert cli.main(["gradient", "xor", "--atom", "{1}{2}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "not an interior point" in captured.err
+    assert "--mix" in captured.err
+    code, out = run(capsys, "gradient", "xor", "--atom", "{1}{2}", "--mix", "0.1",
+                    "--check-fd")
+    assert code == 0 and json.loads(out)["fd_ok"] is True
+    code, out = run(capsys, "optimize", "xor", "--atom", "{1}{2}", "--mix", "0.1",
+                    "--steps", "2")
+    assert code == 0 and len(out.strip().splitlines()) == 3
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gradient", "--mix", "1"], "--mix must be in [0, 1), got 1.0"),
+    (["gradient", "--mix", "-0.1"], "--mix must be in [0, 1), got -0.1"),
+    (["optimize", "--mix", "nan"], "--mix must be in [0, 1), got nan"),
+    (["optimize", "--mix", "0.1", "--mechanism-fixed"],
+     "--mix cannot be combined with --mechanism-fixed"),
+    (["optimize", "--mechanism-fixed", "--lr", "nan"], "--lr must be finite, got nan"),
+    (["optimize", "--mechanism-fixed", "--lr", "inf"], "--lr must be finite, got inf"),
+    (["optimize", "--mechanism-fixed", "--steps", "-1"],
+     "--steps must be >= 0, got -1"),
+    (["optimize", "--mechanism-fixed", "--epsilon", "-1"],
+     "--epsilon must be finite and > 0, got -1.0"),
+    (["optimize", "--mechanism-fixed", "--epsilon", "0"],
+     "--epsilon must be finite and > 0, got 0.0"),
+    (["gradient", "--mix", "0.1", "--epsilon", "nan"],
+     "--epsilon must be finite and > 0, got nan"),
+    (["gradient", "--mix", "0.1", "--epsilon", "inf"],
+     "--epsilon must be finite and > 0, got inf"),
+])
+def test_out_of_range_options_exit_2(capsys, argv, message):
+    assert cli.main([argv[0], "xor", "--atom", "{1,2}", *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
 def test_bench_deterministic_results(capsys):
     code, out1 = run(capsys, "bench", "2", "--trials", "2", "--seed", "5")
     assert code == 0

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from sxpid.builtins import xor_distribution
-from sxpid.dist import Realization
-from sxpid.lattice import Antichain, BoundaryError, enumerate_lattice
+from sxpid.dist import Realization, union_event_masses
+from sxpid.lattice import (Antichain, BoundaryError, enumerate_lattice,
+                          invert_array)
 from sxpid import grad as G
 
 
@@ -99,17 +100,21 @@ def test_grad_atom_bottom_equals_grad_i():
     assert np.array_equal(a, b)
 
 
-def test_tie_falls_back_to_recursion_with_warning():
-    # the symmetric soft-XOR point ties the top node's children exactly
+def test_tie_auto_equals_recursion_without_warning():
+    # the symmetric soft-XOR point ties the top node's children exactly; the
+    # agreement-basis route needs no child order, the closed form does
     pt = soft_xor_point()
     r = Realization(t=0, s=(1, 1))
     lat = enumerate_lattice(2)
-    with pytest.warns(RuntimeWarning, match="tied"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         rec = G.grad_atom(pt, r, lat.top, "plus")
     rrec = G.grad_atom(pt, r, lat.top, "plus", path="recursion")
     assert np.array_equal(rec.partials, rrec.partials)
     with pytest.raises(ValueError, match="tied"):
         G.grad_atom(pt, r, lat.top, "plus", path="closed")
+    with pytest.raises(ValueError, match="'closd'"):
+        G.grad_atom(pt, r, lat.top, "plus", path="closd")
 
 
 def test_grad_average_matches_fd():
@@ -130,11 +135,99 @@ def test_grad_average_symmetry():
     # the mixed XOR grid is invariant under swapping the sources
     pt = soft_xor_point()
     lat = enumerate_lattice(2)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        rec = G.grad_average(pt, lat.top, "net")
+    rec = G.grad_average(pt, lat.top, "net")
     g = rec.partials.reshape(pt.shape)
     assert np.allclose(g, np.swapaxes(g, 1, 2), atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# per-realization oracle: the kernel's N x K indicator rows, inverted
+# ---------------------------------------------------------------------------
+
+def _reference(p, shape, k):
+    """Values and gradient rows at grid cell k, one realization at a time:
+    i-parts and their N x K gradient rows, and both inverted."""
+    lat = enumerate_lattice(len(shape) - 1)
+    points = np.indices(shape).reshape(len(shape), -1).T
+    r = Realization(t=int(points[k, 0]), s=tuple(points[k, 1:].tolist()))
+    inside, m, p_t = union_event_masses(lat.up_sets, points, p, r)
+    p_t = float(p_t)
+    target = points[:, 0] == r.t
+    i = np.stack([-np.log2(m[:, 0]), math.log2(p_t) - np.log2(m[:, 1])], axis=1)
+    g_plus = -(inside / (m[:, :1] * math.log(2.0)))
+    g_minus = (target / (p_t * math.log(2.0))
+               - (inside & target) / (m[:, 1:] * math.log(2.0)))
+    out = {}
+    for q, parts, gp, gm in (("i", i, g_plus, g_minus),
+                             ("pi", invert_array(lat, i), invert_array(lat, g_plus),
+                              invert_array(lat, g_minus))):
+        out[q, "plus"] = (parts[:, 0], gp)
+        out[q, "minus"] = (parts[:, 1], gm)
+        out[q, "net"] = (parts[:, 0] - parts[:, 1], gp - gm)
+    return r, out
+
+
+def _reference_average(p, refs, j, which):
+    """Averaged atom and its gradient from ``_reference`` at every cell k
+    of ``refs``, summed in cell order."""
+    total, g = 0.0, np.zeros_like(p)
+    for k, (_, ref) in refs.items():
+        v, rows = ref["pi", which]
+        total += p[k] * v[j]
+        g[k] += v[j]
+        g += p[k] * rows[j]
+    return total, g
+
+
+def _reference_cases():
+    rng = np.random.default_rng(12)
+    for n, t_card in ((1, 2), (2, 2), (2, 3), (3, 2), (3, 3), (4, 2)):
+        pt = rand_point(n, rng, t_card)
+        nodes = range(len(enumerate_lattice(n)))
+        yield pt, nodes if n < 4 else list(nodes)[::15] + [165], None
+    # mechanism-fixed joint of xor: half the grid cells have zero mass
+    d = xor_distribution()
+    mech, _ = G.mechanism_from_distribution(d)
+    joint = (mech.reshape(2, 4) * np.array([0.4, 0.25, 0.2, 0.15])).reshape(-1)
+    yield G.SimplexPoint((2, 2, 2), joint, 0.0), range(4), mech > 0
+
+
+def test_values_equal_per_realization_reference():
+    for pt, nodes, support in _reference_cases():
+        lat = enumerate_lattice(pt.n_sources)
+        cells = range(pt.p.size) if support is None else np.flatnonzero(support)
+        refs = {k: _reference(pt.p, pt.shape, k) for k in cells}
+        for j in nodes:
+            alpha = lat.nodes[j]
+            for which in ("plus", "minus", "net"):
+                want = _reference_average(pt.p, refs, j, which)[0]
+                assert G.average_atom_value(pt.p, pt.shape, alpha, which,
+                                            support) == want
+                for r, ref in refs.values():
+                    for q in ("i", "pi"):
+                        assert G.pointwise_value(pt.p, pt.shape, r, alpha, q,
+                                                 which) == ref[q, which][0][j]
+
+
+def test_gradients_match_per_realization_reference():
+    for pt, nodes, support in _reference_cases():
+        lat = enumerate_lattice(pt.n_sources)
+        cells = range(pt.p.size) if support is None else np.flatnonzero(support)
+        refs = {k: _reference(pt.p, pt.shape, k) for k in cells}
+        for j in nodes:
+            alpha = lat.nodes[j]
+            for which in ("plus", "minus", "net"):
+                want = _reference_average(pt.p, refs, j, which)[1]
+                got = G._average_and_grad(pt.p, pt.shape, alpha, which, support)[1]
+                assert np.max(np.abs(got - want)) <= 1e-13
+                if support is None:
+                    got = G.grad_average(pt, alpha, which).partials
+                    assert np.max(np.abs(got - want)) <= 1e-13
+                for r, ref in refs.values():
+                    got = G.grad_atom(pt, r, alpha, which, path="recursion").partials
+                    assert np.max(np.abs(got - ref["pi", which][1][j])) <= 1e-13
+                    got = G.grad_i_sx_parts(pt, r, alpha, which).partials
+                    assert np.max(np.abs(got - ref["i", which][1][j])) <= 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -144,9 +237,7 @@ def test_grad_average_symmetry():
 def test_zero_learning_rate_identity():
     pt = soft_xor_point()
     lat = enumerate_lattice(2)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        traj = G.optimize_atom(pt, lat.top, steps=4, learning_rate=0.0)
+    traj = G.optimize_atom(pt, lat.top, steps=4, learning_rate=0.0)
     assert len(traj) == 5
     for step in traj:
         assert np.array_equal(step.point, pt.p)
@@ -156,10 +247,8 @@ def test_zero_learning_rate_identity():
 def test_objective_monotone_for_small_steps():
     pt = G.interior_mix(xor_distribution(), 0.5)
     lat = enumerate_lattice(2)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        traj = G.optimize_atom(pt, lat.top, which="net", maximize=True,
-                               steps=25, learning_rate=0.01)
+    traj = G.optimize_atom(pt, lat.top, which="net", maximize=True,
+                           steps=25, learning_rate=0.01)
     objs = [s.objective for s in traj]
     assert all(b >= a - 1e-12 for a, b in zip(objs, objs[1:]))
     assert objs[-1] > objs[0]
@@ -168,9 +257,7 @@ def test_objective_monotone_for_small_steps():
 def test_iterates_stay_interior():
     pt = G.interior_mix(xor_distribution(), 0.3)
     lat = enumerate_lattice(2)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        traj = G.optimize_atom(pt, lat.top, steps=40, learning_rate=0.2)
+    traj = G.optimize_atom(pt, lat.top, steps=40, learning_rate=0.2)
     for step in traj:
         assert step.point.min() >= pt.epsilon
         assert step.point.sum() == pytest.approx(1.0, abs=1e-12)
@@ -218,7 +305,7 @@ def test_mechanism_fixed_fd_on_source_block():
         return G.average_atom_value(joint, shape, lat.top, "net", support)
 
     joint = (M * q[None, :]).reshape(-1)
-    g_joint = G._grad_average_raw(joint, shape, lat.top, "net", support)
+    g_joint = G._average_and_grad(joint, shape, lat.top, "net", support)[1]
     g_q = (M * g_joint.reshape(n_t, src)).sum(axis=0)
     fd = G.central_difference(objective_of_q, q)
     assert G.fd_mismatch(g_q, fd) <= 1.0

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from helpers import random_grid_distribution
 from sxpid.lattice import (Antichain, BoundaryError, LatticeError, NODE_COUNTS,
                            closed_form_atom, enumerate_lattice, invert_array,
-                           leq, meet, moebius_invert, normalize_antichain,
-                           parse_node_name)
+                           leq, meet, moebius_invert, moebius_row,
+                           normalize_antichain, parse_node_name)
 from sxpid.report import display_order
 
 
@@ -227,6 +227,27 @@ def test_invert_array_of_identity_is_moebius_function(n):
     assert np.all(mu[~lat.leq_matrix.T] == 0)
     # mu inverts the zeta matrix L (L[k, j] = k <= j); mu[j, k] = mu(k, j)
     assert np.array_equal(mu @ lat.leq_matrix.T.astype(float), np.eye(len(lat)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_moebius_row_is_row_of_inverted_identity(n):
+    lat = enumerate_lattice(n)
+    mu = invert_array(lat, np.eye(len(lat)))
+    bottom = lat.index(lat.bottom)
+    for j in range(len(lat)):
+        row = moebius_row(lat, j)
+        assert np.array_equal(row, mu[j])
+        assert row.sum() == (1.0 if j == bottom else 0.0)
+
+
+def test_moebius_row_is_adjoint_of_invert_array_n5():
+    lat = enumerate_lattice(5)
+    v = np.random.default_rng(5).uniform(-5, 5, len(lat))
+    pi = invert_array(lat, v)
+    for j in (lat.index(lat.bottom), 1000, 4321, lat.index(lat.top)):
+        row = moebius_row(lat, j)
+        assert abs(row @ v - pi[j]) <= 1e-12
+        assert row.sum() == (1.0 if j == lat.index(lat.bottom) else 0.0)
 
 
 def test_moebius_missing_node():
