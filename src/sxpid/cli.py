@@ -417,20 +417,11 @@ def cmd_bench(args) -> int:
         payload = ";".join(f"{v:.12f}" for dec in decs for v in dec.pi)
         digests.append(hashlib.sha256(payload.encode()).hexdigest()[:16])
 
-    baseline = None
-    if args.workers > 1:
-        t0 = time.perf_counter()
-        measures.decompose_support(dists[0], lat, workers=1)
-        baseline = time.perf_counter() - t0
-
     results = {"n": args.n, "atoms": len(lat), "trials": args.trials,
                "seed": args.seed, "digests": digests}
     timing = {"lattice_build_s": round(build_s, 6),
               "per_trial_s": [round(t, 6) for t in times],
               "workers": args.workers}
-    if baseline is not None:
-        timing["single_worker_s"] = round(baseline, 6)
-        timing["speedup"] = round(baseline / times[0], 3) if times[0] else None
     print(json.dumps({"results": results, "timing": timing}, indent=2))
     return EXIT_OK
 

@@ -405,7 +405,9 @@ def moebius_invert(lattice: RedundancyLattice,
 
 
 def _log2(x: Mass) -> float:
-    if isinstance(x, Fraction):
+    # an exact type test: isinstance against Fraction's ABC metaclass costs
+    # every float an ABC check
+    if type(x) is Fraction:
         if x <= 0:
             raise BoundaryError("log of a nonpositive probability")
         return math.log2(x.numerator) - math.log2(x.denominator)
@@ -417,7 +419,7 @@ def _log2(x: Mass) -> float:
 def _log2_all(xs: Sequence[Mass]) -> list[float]:
     """``_log2`` of each mass, bit for bit; positive floats take ``math.log2``
     in one ``map`` (``np.log2`` differs from it in the last place for some)."""
-    if isinstance(xs[0], Fraction) or not min(xs) > 0.0:  # NaN-safe
+    if type(xs[0]) is Fraction or not min(xs) > 0.0:  # NaN-safe
         return [_log2(x) for x in xs]
     return list(map(math.log2, xs))
 

@@ -18,10 +18,12 @@ by a matrix product, which is not correctly rounded. The support scan of
 ``self_shared`` and the statement channel.
 
 The per-node increments pi+/pi-/pi are recovered by Moebius inversion of
-i+/i- over the lattice (``lattice.invert_array``, both parts in one call);
+i+/i- over the lattice (``lattice.invert_array``, one vector per part);
 both are nonnegative, pi = pi+ - pi- may not be. Averages weight the
-pointwise values by the realization masses over the support. All
-logarithms are base 2; every quantity is in bits.
+pointwise values by the realization masses over the support, each a
+correctly rounded ``math.fsum``. A decomposition keeps its six fields as
+one read-only 6 x N float block; the tuple accessors are built on first
+read. All logarithms are base 2; every quantity is in bits.
 
 When the distribution's masses are exact rationals, pointwise quantities
 are logs of rationals; for small lattices the exact log-arguments are
@@ -36,7 +38,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from functools import cached_property
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -185,29 +188,51 @@ def self_shared(d: JointDistribution, s: Sequence[int], alpha: Antichain) -> flo
 # Full decompositions.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+#: Rows of ``PointwiseDecomposition.block`` and ``AverageDecomposition.block``.
+POINTWISE_FIELDS = ("i_plus", "i_minus", "i", "pi_plus", "pi_minus", "pi")
+AVERAGE_FIELDS = ("I_plus", "I_minus", "I", "Pi_plus", "Pi_minus", "Pi")
+
+
+def _read_only(block: np.ndarray) -> np.ndarray:
+    block.flags.writeable = False
+    return block
+
+
+def _row(k: int) -> cached_property:
+    """Row ``k`` of the block as a tuple of Python floats, built on first read."""
+    return cached_property(lambda self: tuple(self.block[k].tolist()))
+
+
+@dataclass(frozen=True, eq=False)
 class PointwiseDecomposition:
     """Per-node values at one support realization, in canonical node order.
 
-    ``exact_pi_plus`` etc. hold the rational log-arguments (value =
-    log2(fraction)) when the distribution is exact and the lattice small
-    enough; otherwise None.
+    ``block`` holds the rows ``POINTWISE_FIELDS`` (6 x N float64, read-only);
+    ``i_plus`` ... ``pi`` are its rows as tuples. ``exact_pi_plus`` etc.
+    hold the rational log-arguments (value = log2(fraction)) when the
+    distribution is exact and the lattice small enough; otherwise None.
     """
 
     realization: Realization
     weight: Mass
     n: int
-    i_plus: tuple[float, ...]
-    i_minus: tuple[float, ...]
-    i: tuple[float, ...]
-    pi_plus: tuple[float, ...]
-    pi_minus: tuple[float, ...]
-    pi: tuple[float, ...]
+    block: np.ndarray
     exact_i_plus: tuple[Fraction, ...] | None = None
     exact_i_minus: tuple[Fraction, ...] | None = None
     exact_pi_plus: tuple[Fraction, ...] | None = None
     exact_pi_minus: tuple[Fraction, ...] | None = None
 
+    i_plus, i_minus, i, pi_plus, pi_minus, pi = map(_row, range(6))
+
+    def __eq__(self, other):
+        if not isinstance(other, PointwiseDecomposition):
+            return NotImplemented
+        return ((self.realization, self.weight, self.n, self.exact_i_plus,
+                 self.exact_i_minus, self.exact_pi_plus, self.exact_pi_minus)
+                == (other.realization, other.weight, other.n, other.exact_i_plus,
+                    other.exact_i_minus, other.exact_pi_plus, other.exact_pi_minus)
+                and np.array_equal(self.block, other.block))
+
     @property
     def lattice(self) -> RedundancyLattice:
         return enumerate_lattice(self.n)
@@ -218,25 +243,29 @@ class PointwiseDecomposition:
 
     def node_values(self, alpha: Antichain) -> dict[str, float]:
         j = self.lattice.index(alpha)
-        return {"i_plus": self.i_plus[j], "i_minus": self.i_minus[j],
-                "i": self.i[j], "pi_plus": self.pi_plus[j],
-                "pi_minus": self.pi_minus[j], "pi": self.pi[j]}
+        return dict(zip(POINTWISE_FIELDS, self.block[:, j].tolist()))
 
     def pi_by_name(self, name: str) -> float:
         return self.pi[self.lattice.index(self.lattice.node_by_name(name))]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AverageDecomposition:
-    """Support-weighted averages of the pointwise fields, per node."""
+    """Support-weighted averages of the pointwise fields, per node.
+
+    ``block`` holds the rows ``AVERAGE_FIELDS`` (6 x N float64, read-only);
+    ``I_plus`` ... ``Pi`` are its rows as tuples.
+    """
 
     n: int
-    I_plus: tuple[float, ...]
-    I_minus: tuple[float, ...]
-    I: tuple[float, ...]
-    Pi_plus: tuple[float, ...]
-    Pi_minus: tuple[float, ...]
-    Pi: tuple[float, ...]
+    block: np.ndarray
+
+    I_plus, I_minus, I, Pi_plus, Pi_minus, Pi = map(_row, range(6))
+
+    def __eq__(self, other):
+        if not isinstance(other, AverageDecomposition):
+            return NotImplemented
+        return self.n == other.n and np.array_equal(self.block, other.block)
 
     @property
     def lattice(self) -> RedundancyLattice:
@@ -248,9 +277,7 @@ class AverageDecomposition:
 
     def node_values(self, alpha: Antichain) -> dict[str, float]:
         j = self.lattice.index(alpha)
-        return {"I_plus": self.I_plus[j], "I_minus": self.I_minus[j],
-                "I": self.I[j], "Pi_plus": self.Pi_plus[j],
-                "Pi_minus": self.Pi_minus[j], "Pi": self.Pi[j]}
+        return dict(zip(AVERAGE_FIELDS, self.block[:, j].tolist()))
 
     def pi_by_name(self, name: str) -> float:
         return self.Pi[self.lattice.index(self.lattice.node_by_name(name))]
@@ -272,8 +299,10 @@ def pointwise_decomposition(d: JointDistribution, r: Realization,
     p_plus, p_minus, p_t = node_event_probabilities(d, r, lat)
     ip = -np.array(_log2_all(p_plus))
     im = _log2(p_t) - np.array(_log2_all(p_minus))
-    pi = invert_array(lat, np.stack([ip, im], axis=1))
-    pip, pim = pi[:, 0], pi[:, 1]
+    # one vector each: indexing a vector is several times faster than
+    # indexing the rows of an N x 2 matrix, and the bits are the same
+    pip = invert_array(lat, ip)
+    pim = invert_array(lat, im)
 
     exact = {}
     if d.exact and len(lat.nodes) <= EXACT_RATIO_NODE_LIMIT:
@@ -288,45 +317,22 @@ def pointwise_decomposition(d: JointDistribution, r: Realization,
 
     return PointwiseDecomposition(
         realization=r, weight=d.mass(r), n=d.n_sources,
-        i_plus=tuple(ip.tolist()), i_minus=tuple(im.tolist()),
-        i=tuple((ip - im).tolist()), pi_plus=tuple(pip.tolist()),
-        pi_minus=tuple(pim.tolist()), pi=tuple((pip - pim).tolist()),
+        block=_read_only(np.stack([ip, im, ip - im, pip, pim, pip - pim])),
         **exact)
-
-
-def _decompose_chunk(d: JointDistribution,
-                     indices: Sequence[int]) -> list[PointwiseDecomposition]:
-    lat = enumerate_lattice(d.n_sources)
-    return [pointwise_decomposition(d, d.support[i], lat) for i in indices]
 
 
 def decompose_support(d: JointDistribution,
                       lattice: RedundancyLattice | None = None,
                       workers: int = 1) -> list[PointwiseDecomposition]:
-    """Pointwise decomposition at every support point.
+    """Pointwise decomposition at every support point, in support order.
 
-    Work items are realizations (node loops are internal); results are
-    reassembled in support order, so the output is identical for any
-    worker count.
+    Evaluation runs in this process; ``workers`` (at least 1) is accepted
+    for compatibility and does not change the result.
     """
     if workers < 1:
         raise ValueError("worker count must be >= 1")
     lat = lattice or enumerate_lattice(d.n_sources)
-    indices = list(range(len(d.support)))
-    if workers == 1 or len(indices) <= 1:
-        return _decompose_chunk(d, indices)
-
-    from concurrent.futures import ProcessPoolExecutor
-
-    chunks = [indices[k::workers] for k in range(workers)]
-    chunks = [c for c in chunks if c]
-    out: dict[int, PointwiseDecomposition] = {}
-    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-        for chunk, results in zip(chunks, pool.map(_decompose_chunk,
-                                                   [d] * len(chunks), chunks)):
-            for i, dec in zip(chunk, results):
-                out[i] = dec
-    return [out[i] for i in indices]
+    return [pointwise_decomposition(d, r, lat) for r in d.support]
 
 
 def average_decomposition(d: JointDistribution,
@@ -337,18 +343,16 @@ def average_decomposition(d: JointDistribution,
     """Mass-weighted averages over the support (zero-mass outcomes carry
     no weight and are never evaluated)."""
     decs = decompositions or decompose_support(d, lattice, workers)
-    weights = np.array([[float(dec.weight)] for dec in decs])
-
-    def avg(attr: str) -> tuple[float, ...]:
-        # the products are those of a per-term fsum, so each sum is the
-        # correctly rounded one
-        terms = weights * np.array([getattr(dec, attr) for dec in decs])
-        return tuple(map(math.fsum, terms.T.tolist()))
-
+    weights = np.array([float(dec.weight) for dec in decs])
+    # the products are those of a per-term fsum, so each sum is the
+    # correctly rounded one
+    terms = np.stack([dec.block for dec in decs], axis=-1)
+    terms *= weights
+    # one field at a time, so that only N x R Python floats exist at once
     return AverageDecomposition(
         n=d.n_sources,
-        I_plus=avg("i_plus"), I_minus=avg("i_minus"), I=avg("i"),
-        Pi_plus=avg("pi_plus"), Pi_minus=avg("pi_minus"), Pi=avg("pi"))
+        block=_read_only(np.array([list(map(math.fsum, field.tolist()))
+                                   for field in terms])))
 
 
 def node_event_probabilities(d: JointDistribution, r: Realization,
@@ -563,9 +567,13 @@ class CheckReport:
         return not self.violations
 
     def record(self, ok: bool, kind: str, realization: Realization | None,
-               detail: str) -> None:
+               detail: str | Callable[[], str]) -> None:
+        """Count one check; a failure keeps ``detail``, which may be a
+        zero-argument callable so that passing checks format nothing."""
         self.checks_run += 1
         if not ok:
+            if callable(detail):
+                detail = detail()
             self.violations.append(Violation(kind, realization, detail))
 
 
@@ -631,20 +639,20 @@ def axiom_suite(d: JointDistribution,
             want = table[a]
             ok = abs(got[0] - want[0]) <= 1e-12 and abs(got[1] - want[1]) <= 1e-12
             report.record(ok, "permutation", r,
-                          f"{a.name} reordered: {got} vs {want}")
+                          lambda: f"{a.name} reordered: {got} vs {want}")
 
         # (b) appending a collection never increases i+/i-
         for (a, extra_mask), got in zip(extended, variant_parts[len(reordered):]):
             base = table[a]
             ok = got[0] <= base[0] + 1e-12 and got[1] <= base[1] + 1e-12
             report.record(ok, "monotone-append", r,
-                          f"{a.name} + {extra_mask:b}: {got} > {base}")
+                          lambda: f"{a.name} + {extra_mask:b}: {got} > {base}")
             if any(m & extra_mask == m for m in a.masks):
                 ok = (abs(got[0] - base[0]) <= 1e-12
                       and abs(got[1] - base[1]) <= 1e-12)
                 report.record(ok, "append-equality", r,
-                              f"{a.name} + superset {extra_mask:b}: "
-                              f"{got} != {base}")
+                              lambda: f"{a.name} + superset {extra_mask:b}: "
+                                      f"{got} != {base}")
 
         # (c) self-redundancy against the marginal oracle
         for coll in all_colls:
@@ -654,19 +662,20 @@ def axiom_suite(d: JointDistribution,
             got_plus, got_minus = table[a]
             ok = abs(got_plus - want_plus) <= tol and abs(got_minus - want_minus) <= tol
             report.record(ok, "self-redundancy", r,
-                          f"{a.name}: ({got_plus}, {got_minus}) vs "
-                          f"({want_plus}, {want_minus})")
+                          lambda: f"{a.name}: ({got_plus}, {got_minus}) vs "
+                                  f"({want_plus}, {want_minus})")
         full = Antichain.of(n, [range(1, n + 1)])
         mi = local_mi(d, r, range(1, n + 1))
         got = table[full][0] - table[full][1]
         report.record(abs(got - mi) <= tol, "full-coalition-mi", r,
-                      f"{got} vs local mi {mi}")
+                      lambda: f"{got} vs local mi {mi}")
 
         # (d) monotone increase along cover edges
         for which, col in (("plus", 0), ("minus", 1)):
             bad = check_lattice_monotonicity(
                 lat, {a: table[a][col] for a in lat.nodes}, tol)
-            report.record(not bad, f"lattice-monotone-{which}", r, str(bad))
+            report.record(not bad, f"lattice-monotone-{which}", r,
+                          lambda: str(bad))
 
     return report
 
@@ -699,12 +708,13 @@ def duplicate_invariance_check(d: JointDistribution,
         for k, (a, got) in enumerate(zip(lat.nodes, _parts(d, r, swapped))):
             want = (dec.i_plus[k], dec.i_minus[k])
             ok = abs(got[0] - want[0]) <= 1e-9 and abs(got[1] - want[1]) <= 1e-9
-            report.record(ok, "twin-swap", r, f"{a.name}: {got} vs {want}")
+            report.record(ok, "twin-swap", r,
+                          lambda: f"{a.name}: {got} vs {want}")
         if expected_pi is not None:
             for name, want_pi in expected_pi.items():
                 got_pi = dec.pi_by_name(name)
                 report.record(abs(got_pi - want_pi) <= tol, "expected-atom", r,
-                              f"pi({name}) = {got_pi}, expected {want_pi}")
+                              lambda: f"pi({name}) = {got_pi}, expected {want_pi}")
     return report
 
 

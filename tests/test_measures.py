@@ -484,6 +484,19 @@ def test_axiom_suite_random_passes():
         assert rep.passed, rep.violations[:2]
 
 
+def test_failed_checks_keep_formatted_details():
+    # a negative tolerance fails every tolerance-bound check
+    rep = M.axiom_suite(xor_distribution(), tol=-1.0)
+    assert not rep.passed
+    assert all(type(v.detail) is str for v in rep.violations)
+    full = enumerate_lattice(2).node_by_name("{1,2}")
+    first = next(v for v in rep.violations if v.kind == "full-coalition-mi")
+    dec = M.pointwise_decomposition(xor_distribution(), first.realization)
+    j = dec.lattice.index(full)
+    mi = M.local_mi(xor_distribution(), first.realization, [1, 2])
+    assert first.detail == f"{dec.i_plus[j] - dec.i_minus[j]} vs local mi {mi}"
+
+
 def test_corrupted_table_reports_edge():
     lat = enumerate_lattice(2)
     values = {a: float(j) for j, a in enumerate(lat.nodes)}

@@ -1,0 +1,146 @@
+"""The JSON writer against ``json.dumps(indent=2)``, and the array-backed
+decompositions against a per-node reference evaluation."""
+
+import json
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from helpers import bits, grid_points, random_grid_distribution
+from sxpid import measures as M
+from sxpid import report
+from sxpid.builtins import builtin_distribution, builtin_names
+from sxpid.dist import JointDistribution
+from sxpid.lattice import enumerate_lattice, invert_array
+
+SMALL_BUILTINS = [name for name in builtin_names() if ":" not in name] + [
+    f"parity:{k}" for k in range(1, 5)]
+
+
+def sparse_float_distribution(n: int, support: int, seed: int) -> JointDistribution:
+    """Float masses on ``support`` random cells of the binary grid."""
+    rng = np.random.default_rng(seed)
+    points = grid_points(2, (2,) * n)
+    cells = rng.choice(len(points), size=support, replace=False)
+    raw = rng.uniform(0.05, 1.0, size=support)
+    raw /= raw.sum()
+    return JointDistribution.from_points(
+        bits("t"), [bits(f"s{i + 1}") for i in range(n)],
+        [(points[c], float(m)) for c, m in zip(cells, raw)],
+        normalization_tolerance=1e-6)
+
+
+def reports(d: JointDistribution, pointwise: bool = True):
+    """The averages report and, if asked, the one with pointwise blocks."""
+    decs = M.decompose_support(d)
+    avg = M.average_decomposition(d, decompositions=decs)
+    yield report.decomposition_report(d, avg)
+    if pointwise:
+        yield report.decomposition_report(d, avg, decs)
+
+
+@pytest.mark.parametrize("name", SMALL_BUILTINS)
+def test_render_json_equals_json_dumps_on_builtins(name):
+    for doc in reports(builtin_distribution(name)):
+        assert report.render_json(doc) == json.dumps(doc, indent=2)
+
+
+def test_render_json_equals_json_dumps_on_float_n5():
+    full = random_grid_distribution(5, np.random.default_rng(12))
+    sparse = sparse_float_distribution(5, 3, seed=12)
+    for doc in [*reports(full, pointwise=False), *reports(sparse)]:
+        assert report.render_json(doc) == json.dumps(doc, indent=2)
+
+
+def _block(keys, vals, **extra):
+    return {**dict(zip(keys, vals)), **extra}
+
+
+AVG, PW = M.AVERAGE_FIELDS, M.POINTWISE_FIELDS
+FINITE = [0.1, -0.0, 1e-300, -2.5e17, 3.0, -1 / 3]
+
+HAND_MADE = [
+    {"n_sources": 2, "nodes": ["{1}{2}", "{α}"], "averages": {
+        "{1}{2}": _block(AVG, FINITE, misinformative=True),
+        "{α}": _block(AVG, FINITE),
+        "nan": _block(AVG, [math.nan] + FINITE[1:]),
+        "inf": _block(AVG, FINITE[:5] + [math.inf], misinformative=True),
+        "-inf": _block(AVG, [-math.inf] + FINITE[1:]),
+        "np": _block(AVG, FINITE[:2] + [np.float64(0.1)] + FINITE[3:]),
+        "int": _block(AVG, FINITE[:3] + [1] + FINITE[4:]),
+        "flag-int": _block(AVG, FINITE, misinformative=1),
+        "flag-false": _block(AVG, FINITE, misinformative=False),
+        "short": dict(zip(AVG[:5], FINITE)),
+        "reordered": _block(AVG[::-1], FINITE),
+        "not-a-block": [1.5, "x"],
+    }},
+    {"n_sources": 1, "nodes": [], "averages": {}, "pointwise": []},
+    {"n_sources": 1, "nodes": ["{1}"], "averages": {1: _block(AVG, FINITE)}},
+    {"n_sources": 1, "nodes": ["{1}"], "averages": {"{1}": _block(AVG, FINITE)},
+     "pointwise": [
+         {"t": "é", "s": ["0"], "weight": 0.5, "weight_exact": None,
+          "nodes": {"{1}": _block(PW, FINITE, misinformative=True),
+                    "{2}": _block(PW, FINITE, exact={"i_plus": "3/2"}),
+                    "{3}": _block(AVG, FINITE), "{4}": {}}},
+         {"t": "1", "s": [], "weight": 0.5, "nodes": {}},
+         ["not", "a", "realization"],
+     ]},
+    {"n_sources": 1, "nodes": [], "averages": {},
+     "pointwise": [{"weight": Fraction(1, 2), "nodes": {}}]},
+    {"extra": {"a": [1, {"b": None}]}, "averages": None, "pointwise": {"x": 1}},
+    [1, 2],
+]
+
+
+@pytest.mark.parametrize("doc", HAND_MADE)
+def test_render_json_equals_json_dumps_on_hand_made_docs(doc):
+    try:
+        want = json.dumps(doc, indent=2)
+    except TypeError:  # a Fraction is not JSON; both must refuse it
+        with pytest.raises(TypeError):
+            report.render_json(doc)
+        return
+    assert report.render_json(doc) == want
+
+
+def _log2(x) -> float:
+    if isinstance(x, Fraction):
+        return math.log2(x.numerator) - math.log2(x.denominator)
+    return math.log2(x)
+
+
+def reference_pointwise(d, r, lat):
+    """One log per node, both parts inverted in one N x 2 matrix."""
+    p_plus, p_minus, p_t = M.node_event_probabilities(d, r, lat)
+    ip = [-_log2(p) for p in p_plus]
+    im = [_log2(p_t) - _log2(p) for p in p_minus]
+    pi = invert_array(lat, np.array([ip, im]).T)
+    pip, pim = pi[:, 0].tolist(), pi[:, 1].tolist()
+    return {"i_plus": ip, "i_minus": im, "i": [a - b for a, b in zip(ip, im)],
+            "pi_plus": pip, "pi_minus": pim, "pi": [a - b for a, b in zip(pip, pim)]}
+
+
+@pytest.mark.parametrize("d", [
+    *(builtin_distribution(name) for name in ("xor", "rnderr", "parity:3")),
+    *(random_grid_distribution(n, np.random.default_rng(40 + n)) for n in (2, 3, 4)),
+    sparse_float_distribution(5, 4, seed=3),
+], ids=["xor", "rnderr", "parity3", "grid2", "grid3", "grid4", "sparse5"])
+def test_array_fields_equal_per_node_reference(d):
+    lat = enumerate_lattice(d.n_sources)
+    decs = M.decompose_support(d, lat)
+    refs = [reference_pointwise(d, dec.realization, lat) for dec in decs]
+    for dec, ref in zip(decs, refs):
+        assert not dec.block.flags.writeable
+        for k, name in enumerate(M.POINTWISE_FIELDS):
+            assert getattr(dec, name) == tuple(ref[name])
+            assert dec.block[k].tolist() == ref[name]
+    avg = M.average_decomposition(d, lat, decompositions=decs)
+    for name, avg_name in zip(M.POINTWISE_FIELDS, M.AVERAGE_FIELDS):
+        want = tuple(math.fsum(float(dec.weight) * ref[name][j]
+                               for dec, ref in zip(decs, refs))
+                     for j in range(len(lat)))
+        assert getattr(avg, avg_name) == want
+    assert avg == M.average_decomposition(d, lat)
+    assert decs == M.decompose_support(d, lat)
