@@ -73,8 +73,7 @@ def cmd_compute(args) -> int:
         print(report.render_json(doc))
     else:
         if args.pointwise:
-            shown = [dec for dec in decs]
-            print(report.render_pointwise_tables(d, shown, args.precision))
+            print(report.render_pointwise_tables(d, decs, args.precision))
             print()
         print(report.render_average_table(avg, args.precision))
     return EXIT_OK

@@ -141,7 +141,9 @@ class JointDistribution:
     def __post_init__(self):
         seen = set()
         for r, m in zip(self.support, self.masses):
-            if (isinstance(m, float) and m < 0) or (not isinstance(m, float) and m < 0):
+            if m != m:
+                raise DistributionError(f"mass at {r} is not a number: {m}")
+            if m < 0:
                 raise DistributionError(f"negative mass {m} at {r}")
             if len(r.s) != len(self.source_alphabets):
                 raise DistributionError(f"realization {r} has wrong arity")

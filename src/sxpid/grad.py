@@ -50,7 +50,8 @@ import numpy as np
 
 from .dist import JointDistribution, Realization, union_event_masses
 from .lattice import (Antichain, BoundaryError, RedundancyLattice,
-                      enumerate_lattice, invert_array, moebius_row)
+                      closed_form_plan, enumerate_lattice, invert_array,
+                      moebius_row)
 
 _LN2 = math.log(2.0)
 
@@ -73,6 +74,8 @@ class SimplexPoint:
         arr = np.asarray(self.p, dtype=float).reshape(-1).copy()
         if arr.size != int(np.prod(self.shape)):
             raise ValueError("pmf length does not match the outcome grid")
+        if np.isnan(arr).any():
+            raise ValueError(f"pmf coordinate {np.isnan(arr).argmax()} is NaN")
         if arr.min() < self.epsilon:
             raise BoundaryError(
                 f"not an interior point: min mass {arr.min()} < {self.epsilon}")
@@ -205,24 +208,14 @@ def _grad_pi_closed(ev: _Events, j: int, which: str) -> np.ndarray:
     if not kids:
         g = -ind[j] / (mass[j] * _LN2)
         return g + ev.target / (ev.p_t * _LN2) if which == "minus" else g
-    probs = [(mass[c], lat.nodes[c].sort_key(), c) for c in kids]
-    vals = sorted(v for v, _, _ in probs)
+    probs = [mass[c] for c in kids]
+    vals = sorted(probs)
     if any(b - a <= TIE_TOLERANCE for a, b in zip(vals, vals[1:])):
         raise ValueError("tied child event probabilities")
-    probs.sort()
-    gamma1 = probs[0][2]
-    others = [c for _, _, c in probs[1:]]
-    d1 = probs[0][0] - mass[j]
+    gamma1, d1, terms = closed_form_plan(lat, j, mass[j], probs)
 
     g = np.zeros(ind.shape[1])
-    for bits in range(1 << len(others)):
-        members = [others[i] for i in range(len(others)) if bits >> i & 1]
-        m = j
-        if members:
-            m = members[0]
-            for c in members[1:]:
-                m = lat.meet_idx(m, c)
-        sign = -1.0 if bin(bits).count("1") % 2 else 1.0
+    for sign, m in terms:
         g += sign * ((ind[m] + ind[gamma1] - ind[j]) / (mass[m] + d1)
                      - ind[m] / mass[m]) / _LN2
     return g
@@ -442,6 +435,8 @@ def optimize_atom_mechanism_fixed(mechanism: np.ndarray, q0: np.ndarray,
     q = np.asarray(q0, dtype=float).reshape(-1).copy()
     if q.size != src_size:
         raise ValueError("source pmf length does not match the grid")
+    if np.isnan(q).any():
+        raise ValueError(f"source pmf coordinate {np.isnan(q).argmax()} is NaN")
     if q.min() < epsilon:
         raise BoundaryError("source pmf is not interior")
     q /= q.sum()

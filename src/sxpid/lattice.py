@@ -12,7 +12,8 @@ so equality and hashing are structural and cheap. Each antichain also has
 an up-set over the coalition masks: the coalitions that contain one of its
 members (``up_sets``). The partial order is inclusion of these up-sets,
 the union events of ``sxpid.dist.union_event_masses`` read them directly,
-and Moebius inversion runs one subtraction pass per coalition over them.
+Moebius inversion runs one subtraction pass per coalition over them, and
+the up-set of a meet is the union of the up-sets (``subset_meets``).
 
 Order, children and inversion passes are computed lazily: enumerating
 nodes (e.g. to count them) never pays for the order matrix.
@@ -53,6 +54,26 @@ def _collection_key(mask: int) -> tuple[int, tuple[int, ...]]:
     return (bin(mask).count("1"), _mask_indices(mask))
 
 
+def _coalition_masks(n: int, collections: Iterable[Iterable[int]]) -> list[int]:
+    """Bit masks of 1-based index collections, checked against 1..n."""
+    masks = []
+    for coll in collections:
+        mask = 0
+        for i in coll:
+            if not 1 <= i <= n:
+                raise LatticeError(f"source index {i} outside 1..{n}")
+            mask |= 1 << (i - 1)
+        if mask == 0:
+            raise LatticeError("empty coalition not allowed")
+        masks.append(mask)
+    return masks
+
+
+def _drop_supersets(masks: Sequence[int]) -> tuple[int, ...]:
+    """The masks that strictly contain no other mask, without duplicates."""
+    return tuple({a for a in masks if not any(b != a and a & b == b for b in masks)})
+
+
 @dataclass(frozen=True)
 class Antichain:
     """Canonical set of pairwise-incomparable coalitions of {1..n}."""
@@ -81,15 +102,7 @@ class Antichain:
     @classmethod
     def of(cls, n: int, collections: Iterable[Iterable[int]]) -> "Antichain":
         """Build from 1-based index collections, e.g. of(3, [[1], [2, 3]])."""
-        masks = []
-        for coll in collections:
-            mask = 0
-            for i in coll:
-                if not 1 <= i <= n:
-                    raise LatticeError(f"source index {i} outside 1..{n}")
-                mask |= 1 << (i - 1)
-            masks.append(mask)
-        return cls(n, tuple(masks))
+        return cls(n, tuple(_coalition_masks(n, collections)))
 
     @cached_property
     def collections(self) -> tuple[tuple[int, ...], ...]:
@@ -134,21 +147,10 @@ def normalize_antichain(n: int, collections: Iterable[Iterable[int]]) -> Anticha
     collection sets equivalent to antichain queries: a superset never
     changes the union of coalition events.
     """
-    masks = []
-    for coll in collections:
-        mask = 0
-        for i in coll:
-            if not 1 <= i <= n:
-                raise LatticeError(f"source index {i} outside 1..{n}")
-            mask |= 1 << (i - 1)
-        if mask == 0:
-            raise LatticeError("empty coalition not allowed")
-        masks.append(mask)
+    masks = _coalition_masks(n, collections)
     if not masks:
         raise LatticeError("need at least one collection")
-    kept = [a for a in masks
-            if not any(b != a and a & b == b for b in masks)]
-    return Antichain(n, tuple(set(kept)))
+    return Antichain(n, _drop_supersets(masks))
 
 
 def leq(a: Antichain, b: Antichain) -> bool:
@@ -162,9 +164,7 @@ def meet(a: Antichain, b: Antichain) -> Antichain:
     """Greatest lower bound: the normalized union of the two antichains."""
     if a.n != b.n:
         raise LatticeError("antichains over different source counts")
-    masks = a.masks + b.masks
-    kept = [m for m in masks if not any(x != m and m & x == x for x in masks)]
-    return Antichain(a.n, tuple(set(kept)))
+    return Antichain(a.n, _drop_supersets(a.masks + b.masks))
 
 
 def coalition_up_sets(n: int, mask_lists: Sequence[Sequence[int]]) -> np.ndarray:
@@ -186,7 +186,7 @@ class RedundancyLattice:
     """All antichains of {1..n} with order, children and meets.
 
     The instance is immutable from the caller's perspective; internal
-    caches (order matrix, children, meet tables) are filled lazily and
+    caches (order matrix, children, inversion passes) are filled lazily and
     are safe to share across threads once built.
     """
 
@@ -205,7 +205,6 @@ class RedundancyLattice:
         self.bottom = Antichain.of(n, [[i] for i in range(1, n + 1)])
         self.top = Antichain.of(n, [range(1, n + 1)])
         self._strict_lower: dict[int, np.ndarray] = {}
-        self._meet_cache: dict[tuple[int, int], int] = {}
 
     @staticmethod
     def _enumerate(n: int) -> list[Antichain]:
@@ -326,11 +325,26 @@ class RedundancyLattice:
         """(child, parent) index pairs; the Hasse diagram of the order."""
         return [(c, j) for j, kids in enumerate(self.children_table) for c in kids]
 
-    def meet_idx(self, i: int, j: int) -> int:
-        key = (i, j) if i <= j else (j, i)
-        if key not in self._meet_cache:
-            self._meet_cache[key] = self.index(meet(self.nodes[i], self.nodes[j]))
-        return self._meet_cache[key]
+    # -- meets -------------------------------------------------------------
+
+    @cached_property
+    def _key_index(self) -> dict[int, int]:
+        return {key: i for i, key in enumerate(self._up_keys.tolist())}
+
+    def subset_meets(self, j: int, members: Sequence[int]) -> list[int]:
+        """Node index of meet({j} + B) for every subset B of ``members``.
+
+        Subsets are in bit order (bit i selects members[i]), so the first
+        entry is j and the subsets holding the last member are the second
+        half. The up-set of a meet is the union of the up-sets, so its key
+        is the OR of the members' keys; with members below j, as children
+        are, meet({j} + B) is the meet of B alone for nonempty B.
+        """
+        subset_keys = [int(self._up_keys[j])]
+        for c in members:
+            key = int(self._up_keys[c])
+            subset_keys += [k | key for k in subset_keys]
+        return [self._key_index[k] for k in subset_keys]
 
 
 _LATTICES: dict[int, RedundancyLattice] = {}
@@ -424,6 +438,24 @@ def _log2_all(xs: Sequence[Mass]) -> list[float]:
     return list(map(math.log2, xs))
 
 
+def closed_form_plan(lattice: RedundancyLattice, j: int, p_j: Mass,
+                     child_probs: Sequence[Mass],
+                     ) -> tuple[int, Mass, list[tuple[float, int]]]:
+    """Inclusion-exclusion terms of node j's atom (``closed_form_atom``).
+
+    ``child_probs`` are the event probabilities of ``children_table[j]``,
+    ordered by (probability, node index); nodes are stored in canonical
+    order, so the index breaks ties as that order does. Returns g_1,
+    d_1 = P(g_1) - p_j and ((-1)^|B|, meet(B)) for every subset B of the
+    other children in bit order; meet(empty) is j.
+    """
+    (p1, g1), *rest = sorted(zip(child_probs, lattice.children_table[j]))
+    signs = [1.0]
+    for _ in rest:
+        signs += [-s for s in signs]
+    return g1, p1 - p_j, list(zip(signs, lattice.subset_meets(j, [c for _, c in rest])))
+
+
 def closed_form_atom(lattice: RedundancyLattice, alpha: Antichain,
                      event_prob: Callable[[Antichain], Mass]) -> float:
     """Evaluate one atom directly from event probabilities of child meets.
@@ -437,43 +469,27 @@ def closed_form_atom(lattice: RedundancyLattice, alpha: Antichain,
     mass differences are preserved along child meets, so every numerator
     P(^B) + d_1 equals the probability of an actual lattice event and the
     result matches the Moebius recursion. Ties among child probabilities
-    are broken by canonical node order; the value is tie-invariant.
+    are broken by canonical node order (``closed_form_plan``); the value is
+    tie-invariant.
 
     ``event_prob`` must be positive on alpha and on all child meets;
     a zero raises BoundaryError.
     """
+    def prob(i: int) -> Mass:
+        p = event_prob(lattice.nodes[i])
+        if p <= 0:
+            raise BoundaryError(f"event probability of {lattice.nodes[i].name} "
+                                "is not positive")
+        return p
+
     j = lattice.index(alpha)
-    p_alpha = event_prob(alpha)
-    if p_alpha <= 0:
-        raise BoundaryError(f"event probability of {alpha.name} is not positive")
+    p_alpha = prob(j)
     kids = lattice.children_table[j]
     if not kids:
         return -_log2(p_alpha)
-
-    probs = []
-    for c in kids:
-        p = event_prob(lattice.nodes[c])
-        if p <= 0:
-            raise BoundaryError(f"event probability of {lattice.nodes[c].name} "
-                                "is not positive")
-        probs.append((p, lattice.nodes[c].sort_key(), c))
-    probs.sort()
-    d1 = probs[0][0] - p_alpha
-    others = [c for _, _, c in probs[1:]]
-
+    _, d1, terms = closed_form_plan(lattice, j, p_alpha, [prob(c) for c in kids])
     total = 0.0
-    for bits in range(1 << len(others)):
-        members = [others[i] for i in range(len(others)) if bits >> i & 1]
-        if members:
-            m = members[0]
-            for c in members[1:]:
-                m = lattice.meet_idx(m, c)
-            p = event_prob(lattice.nodes[m])
-            if p <= 0:
-                raise BoundaryError(f"event probability of {lattice.nodes[m].name} "
-                                    "is not positive")
-        else:
-            p = p_alpha
-        sign = -1.0 if bin(bits).count("1") % 2 else 1.0
+    for sign, m in terms:
+        p = p_alpha if m == j else prob(m)
         total += sign * (_log2(p + d1) - _log2(p))
     return total

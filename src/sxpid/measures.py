@@ -44,7 +44,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .dist import (Alphabet, CylinderEvent, DistributionError, JointDistribution,
-                   Mass, Realization, marginal, union_event_masses)
+                   Mass, Realization, _sum_masses, marginal, union_event_masses)
 from .lattice import (Antichain, RedundancyLattice, _log2, _log2_all,
                       closed_form_atom, coalition_up_sets, enumerate_lattice,
                       invert_array)
@@ -391,30 +391,16 @@ def form_equivalence_max_dev(d: JointDistribution,
     return worst
 
 
-_MEET_PLANS: dict[int, list[tuple[int, int, int, int]]] = {}
-
-
 def _child_meet_plan(lat: RedundancyLattice) -> list[tuple[int, int, int, int]]:
     """(node, child, meet(B), meet(B + child)) for every child and every
     subset B of the node's remaining children; meet(empty) is the node."""
-    if lat.n not in _MEET_PLANS:
-        plan = []
-        for j in range(len(lat.nodes)):
-            kids = lat.children_table[j]
-            for gi, g in enumerate(kids):
-                others = [c for ci, c in enumerate(kids) if ci != gi]
-                for bitset in range(1 << len(others)):
-                    members = [others[k] for k in range(len(others))
-                               if bitset >> k & 1]
-                    if members:
-                        mb = members[0]
-                        for c in members[1:]:
-                            mb = lat.meet_idx(mb, c)
-                    else:
-                        mb = j
-                    plan.append((j, g, mb, lat.meet_idx(mb, g)))
-        _MEET_PLANS[lat.n] = plan
-    return _MEET_PLANS[lat.n]
+    plan = []
+    for j, kids in enumerate(lat.children_table):
+        for gi, g in enumerate(kids):
+            meets = lat.subset_meets(j, kids[:gi] + kids[gi + 1:] + (g,))
+            half = len(meets) // 2
+            plan += [(j, g, mb, mbg) for mb, mbg in zip(meets[:half], meets[half:])]
+    return plan
 
 
 def child_meet_mass_identity_max_dev(d: JointDistribution,
@@ -486,8 +472,7 @@ def condition_on_target_group(d: JointDistribution, group_of: Sequence[int],
     sel = [(r, m) for r, m in zip(d.support, d.masses) if group_of[r.t] == group]
     if not sel:
         raise DistributionError(f"target group {group!r} has zero probability")
-    total = sum(m for _, m in sel) if isinstance(sel[0][1], Fraction) \
-        else math.fsum(m for _, m in sel)
+    total = _sum_masses(m for _, m in sel)
     points = [(r, m / total) for r, m in sel]
     return JointDistribution.from_points(
         d.target_alphabet, d.source_alphabets, points,

@@ -41,6 +41,16 @@ def test_load_point_mass():
     assert len(d.support) == 1 and d.masses[0] == 1
 
 
+def test_nan_mass_rejected():
+    # NaN compares false with everything, so neither the sign test nor the
+    # normalization test may be left to catch it
+    t, s1 = bits("t"), bits("s1")
+    points = [(Realization(0, (0,)), 0.5), (Realization(1, (1,)), float("nan")),
+              (Realization(1, (0,)), 0.5)]
+    with pytest.raises(DistributionError, match=r"Realization\(t=1, s=\(1,\)\).*not a number"):
+        JointDistribution.from_points(t, [s1], points)
+
+
 def test_normalization_error_csv():
     bad = "t,s1,s2,p\n0,0,0,0.25\n1,0,1,0.25\n1,1,0,0.25\n0,1,1,0.15\n"
     with pytest.raises(DistributionError, match="sum"):

@@ -31,6 +31,10 @@ def test_simplex_point_validation():
     assert p.p.sum() == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
         G.SimplexPoint((2, 2), np.full(8, 0.125))
+    p = np.full(8, 0.125)
+    p[5] = np.nan
+    with pytest.raises(ValueError, match="coordinate 5 is NaN"):
+        G.SimplexPoint((2, 2, 2), p)
 
 
 def test_random_interior_bounds():
@@ -319,4 +323,7 @@ def test_mechanism_validation():
         G.optimize_atom_mechanism_fixed(mech * 0.5, q, G.grid_shape(d), lat.top)
     with pytest.raises(BoundaryError):
         G.optimize_atom_mechanism_fixed(mech, np.array([1.0, 0.0, 0.0, 0.0]),
+                                        G.grid_shape(d), lat.top)
+    with pytest.raises(ValueError, match="source pmf coordinate 2 is NaN"):
+        G.optimize_atom_mechanism_fixed(mech, np.array([0.25, 0.25, np.nan, 0.25]),
                                         G.grid_shape(d), lat.top)

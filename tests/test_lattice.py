@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 
 from helpers import random_grid_distribution
 from sxpid.lattice import (Antichain, BoundaryError, LatticeError, NODE_COUNTS,
-                           closed_form_atom, enumerate_lattice, invert_array,
+                           closed_form_atom, closed_form_plan,
+                           enumerate_lattice, invert_array,
                            leq, meet, moebius_invert, moebius_row,
                            normalize_antichain, parse_node_name)
 from sxpid.report import display_order
@@ -100,6 +102,78 @@ def test_meet_is_greatest_lower_bound():
             for c in lat.nodes:
                 if leq(c, a) and leq(c, b):
                     assert leq(c, m)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_key_meets_match_meet_all_pairs(n):
+    lat = enumerate_lattice(n)
+    for i, a in enumerate(lat.nodes):
+        for k in range(i, len(lat)):
+            assert lat.subset_meets(i, [k]) == [i, lat.index(meet(a, lat.nodes[k]))]
+
+
+def test_key_meets_match_meet_sampled_n5():
+    lat = enumerate_lattice(5)
+    rng = np.random.default_rng(2008)
+    for i, k, m in rng.integers(0, len(lat), size=(2000, 3)).tolist():
+        a, b, c = (lat.nodes[x] for x in (i, k, m))
+        want = [a, meet(a, b), meet(a, c), meet(meet(a, b), c)]
+        assert lat.subset_meets(i, [k, m]) == [lat.index(x) for x in want]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_nodes_strictly_increasing_in_sort_key(n):
+    # the closed form breaks child ties by node index in place of sort_key
+    keys = [a.sort_key() for a in enumerate_lattice(n).nodes]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
+def _python_meet_index(lat, j, members):
+    """Oracle: meet of node j and the member nodes through ``meet``."""
+    return lat.index(reduce(meet, [lat.nodes[c] for c in members], lat.nodes[j]))
+
+
+def _reference_plan(lat, j, p_j, child_probs):
+    kids = lat.children_table[j]
+    order = sorted(zip(child_probs, [lat.nodes[c].sort_key() for c in kids], kids))
+    p1, _, g1 = order[0]
+    others = [c for _, _, c in order[1:]]
+    terms = []
+    for bits in range(1 << len(others)):
+        members = [others[i] for i in range(len(others)) if bits >> i & 1]
+        terms.append(((-1.0) ** len(members), _python_meet_index(lat, j, members)))
+    return g1, p1 - p_j, terms
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_closed_form_plan_matches_python_meets(n):
+    lat = enumerate_lattice(n)
+    rng = np.random.default_rng(300 + n)
+    for j, kids in enumerate(lat.children_table):
+        if not kids:
+            continue
+        # all tied, few distinct values (frequent ties), and distinct values
+        for probs in ([Fraction(1, 2)] * len(kids),
+                      rng.integers(1, 3, len(kids)).tolist(),
+                      rng.uniform(size=len(kids)).tolist()):
+            got = closed_form_plan(lat, j, Fraction(1, 4), probs)
+            assert got == _reference_plan(lat, j, Fraction(1, 4), probs)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_child_meet_plan_matches_python_meets(n):
+    from sxpid.measures import _child_meet_plan
+
+    lat = enumerate_lattice(n)
+    want = []
+    for j, kids in enumerate(lat.children_table):
+        for g in kids:
+            others = [c for c in kids if c != g]
+            for bits in range(1 << len(others)):
+                members = [others[i] for i in range(len(others)) if bits >> i & 1]
+                want.append((j, g, _python_meet_index(lat, j, members),
+                             _python_meet_index(lat, j, members + [g])))
+    assert _child_meet_plan(lat) == want
 
 
 def test_children_structure():
