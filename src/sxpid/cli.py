@@ -357,8 +357,6 @@ def cmd_gradient(args) -> int:
 
 def cmd_optimize(args) -> int:
     _check_interior_options(args)
-    if args.steps < 0:
-        raise ValueError(f"--steps must be >= 0, got {args.steps}")
     if not math.isfinite(args.lr):
         raise ValueError(f"--lr must be finite, got {args.lr!r}")
     if args.mechanism_fixed and args.mix:
@@ -402,7 +400,7 @@ def _bench_distribution(n: int, rng: np.random.Generator) -> JointDistribution:
 def cmd_bench(args) -> int:
     t0 = time.perf_counter()
     lat = enumerate_lattice(args.n)
-    lat.leq_matrix  # force the order relation into the timing
+    lat.moebius_passes  # the inversion every decomposition runs
     build_s = time.perf_counter() - t0
 
     rng = np.random.default_rng(args.seed)
@@ -499,6 +497,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        for option, low in (("precision", 0), ("steps", 0), ("trials", 1)):
+            if getattr(args, option, low) < low:
+                raise ValueError(f"--{option} must be >= {low}, got {getattr(args, option)}")
         return args.fn(args)
     except (DistributionError, LatticeError, BoundaryError, KeyError,
             OSError, ValueError) as exc:

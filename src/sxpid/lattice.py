@@ -10,13 +10,13 @@ Coalitions are stored as bit masks (bit i-1 set <=> source i in the
 coalition), antichains as tuples of masks sorted by (size, index list),
 so equality and hashing are structural and cheap. Each antichain also has
 an up-set over the coalition masks: the coalitions that contain one of its
-members (``up_sets``). The partial order is inclusion of these up-sets,
-the union events of ``sxpid.dist.union_event_masses`` read them directly,
+members (``up_sets``), kept as one integer key per node from which the
+lattice derives everything else: the nodes are the minimal members of the
+up-closed coalition families, a <= b is inclusion of b's key in a's, the
+union events of ``sxpid.dist.union_event_masses`` read the up-sets,
 Moebius inversion runs one subtraction pass per coalition over them, and
-the up-set of a meet is the union of the up-sets (``subset_meets``).
-
-Order, children and inversion passes are computed lazily: enumerating
-nodes (e.g. to count them) never pays for the order matrix.
+the key of a meet is the OR of the keys (``subset_meets``). The N x N
+``leq_matrix`` is an oracle only.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache, reduce
+from operator import or_
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 import numpy as np
@@ -50,6 +51,7 @@ def _mask_indices(mask: int) -> tuple[int, ...]:
     return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
 
+@lru_cache(maxsize=1 << 10)
 def _collection_key(mask: int) -> tuple[int, tuple[int, ...]]:
     return (bin(mask).count("1"), _mask_indices(mask))
 
@@ -182,11 +184,29 @@ def coalition_up_sets(n: int, mask_lists: Sequence[Sequence[int]]) -> np.ndarray
     return rows
 
 
+def _node_keys(n: int) -> dict[Antichain, int]:
+    """Every node's antichain with its up-set key (bit c for coalition c).
+
+    An up-closed family over m + 1 sources is a pair lo <= hi of families
+    over m sources: the coalitions without source m + 1, and those with it
+    shifted up by 2^m bits. Nodes are the families but the empty and the
+    full one; their antichains are the families' minimal members."""
+    keys = [0, 1]
+    for m in range(n):
+        keys = [lo | hi << (1 << m) for lo in keys for hi in keys if lo & ~hi == 0]
+    without = [sum(1 << c for c in range(1 << n) if not c >> i & 1) for i in range(n)]
+    key_of = {}
+    for key in (k for k in keys if k and not k & 1):
+        minimal = key & ~reduce(or_, [(key & w) << (1 << i) for i, w in enumerate(without)])
+        key_of[Antichain(n, tuple(c for c in range(1 << n) if minimal >> c & 1))] = key
+    return key_of
+
+
 class RedundancyLattice:
     """All antichains of {1..n} with order, children and meets.
 
     The instance is immutable from the caller's perspective; internal
-    caches (order matrix, children, inversion passes) are filled lazily and
+    caches (up-sets, children, inversion passes) are filled lazily and
     are safe to share across threads once built.
     """
 
@@ -194,36 +214,17 @@ class RedundancyLattice:
         if not 1 <= n <= MAX_SOURCES:
             raise LatticeError(f"n must be in 1..{MAX_SOURCES}, got {n}")
         self.n = n
-        self.nodes: tuple[Antichain, ...] = tuple(
-            sorted(self._enumerate(n), key=Antichain.sort_key))
+        key_of = _node_keys(n)
+        self.nodes: tuple[Antichain, ...] = tuple(sorted(key_of, key=Antichain.sort_key))
         if len(self.nodes) != NODE_COUNTS[n]:
             raise AssertionError(
                 f"enumerated {len(self.nodes)} antichains for n={n}, "
                 f"expected {NODE_COUNTS[n]}")
+        self._key_index = {key_of[a]: i for i, a in enumerate(self.nodes)}
+        self._up_keys = np.array(list(self._key_index), dtype=np.uint64)
         self._index = {a: i for i, a in enumerate(self.nodes)}
-        self._name_index = {a.name: i for i, a in enumerate(self.nodes)}
         self.bottom = Antichain.of(n, [[i] for i in range(1, n + 1)])
         self.top = Antichain.of(n, [range(1, n + 1)])
-        self._strict_lower: dict[int, np.ndarray] = {}
-
-    @staticmethod
-    def _enumerate(n: int) -> list[Antichain]:
-        """DFS over coalition masks; each antichain is emitted exactly once
-        as an increasing mask sequence."""
-        all_masks = list(range(1, 1 << n))
-        out: list[Antichain] = []
-
-        def extend(chosen: list[int], start: int):
-            if chosen:
-                out.append(Antichain(n, tuple(chosen)))
-            for m in all_masks[start:]:
-                if all(m & c != c and m & c != m for c in chosen):
-                    chosen.append(m)
-                    extend(chosen, m)  # masks are scanned in increasing order
-                    chosen.pop()
-
-        extend([], 0)
-        return out
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -245,16 +246,12 @@ class RedundancyLattice:
     @cached_property
     def up_sets(self) -> np.ndarray:
         """``coalition_up_sets`` of every node, rows in node order."""
-        return coalition_up_sets(self.n, [a.masks for a in self.nodes])
-
-    @cached_property
-    def _up_keys(self) -> np.ndarray:
-        """Each node's up-set as one integer, bit c for coalition mask c."""
-        return self.up_sets @ (np.uint64(1) << np.arange(1 << self.n, dtype=np.uint64))
+        bits = np.arange(1 << self.n, dtype=np.uint64)
+        return (self._up_keys[:, None] >> bits & np.uint64(1)).astype(bool)
 
     @cached_property
     def leq_matrix(self) -> np.ndarray:
-        """Boolean matrix L with L[i, j] = (nodes[i] <= nodes[j])."""
+        """Boolean matrix L with L[i, j] = (nodes[i] <= nodes[j]); an oracle."""
         # i <= j iff the up-set of j is a subset of the up-set of i; rows in
         # blocks, so no N x N integer temporary is held (460 MB at n = 5)
         keys = self._up_keys
@@ -267,11 +264,10 @@ class RedundancyLattice:
         return bool(self.leq_matrix[i, j])
 
     def strict_lower(self, j: int) -> np.ndarray:
-        """Indices of nodes strictly below node j."""
-        if j not in self._strict_lower:
-            below = np.flatnonzero(self.leq_matrix[:, j])
-            self._strict_lower[j] = below[below != j].astype(np.int32)
-        return self._strict_lower[j]
+        """Indices of nodes strictly below node j (their up-sets hold j's)."""
+        keys = self._up_keys
+        below = np.flatnonzero((keys[j] & ~keys) == 0)
+        return below[below != j].astype(np.int32)
 
     @cached_property
     def moebius_passes(self) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -287,21 +283,25 @@ class RedundancyLattice:
         cover edges of the lattice.
         """
         full = (1 << self.n) - 1
-        up, keys = self.up_sets, self._up_keys
+        keys = self._up_keys
         order = np.argsort(keys)
         passes = []
         for p in sorted(range(1, full + 1), key=lambda c: -bin(c).count("1")):
-            supersets = [q for q in range(p + 1, full + 1) if q & p == p]
-            upper = np.flatnonzero(~up[:, p] & up[:, supersets].all(axis=1))
-            wanted = keys[upper] | (np.uint64(1) << np.uint64(p))
+            # p outside the up-set, every strict superset of p inside it
+            above = sum(1 << q for q in range(p + 1, full + 1) if q & p == p)
+            upper = np.flatnonzero(keys & np.uint64(above | 1 << p) == above)
+            wanted = keys[upper] | np.uint64(1 << p)
             passes.append((upper, order[np.searchsorted(keys, wanted, sorter=order)]))
         return passes
 
     @cached_property
     def topological_order(self) -> np.ndarray:
         """Node indices sorted bottom-up (downsets before their nodes)."""
-        counts = self.leq_matrix.sum(axis=0)  # |downset| including self
-        return np.argsort(counts, kind="stable")
+        # downset sizes: the zeta transform of ones, undoing the passes in reverse
+        sizes = np.ones(len(self.nodes), dtype=np.int64)
+        for upper, lower in reversed(self.moebius_passes):
+            sizes[upper] += sizes[lower]
+        return np.argsort(sizes, kind="stable")
 
     # -- children ----------------------------------------------------------
 
@@ -326,10 +326,6 @@ class RedundancyLattice:
         return [(c, j) for j, kids in enumerate(self.children_table) for c in kids]
 
     # -- meets -------------------------------------------------------------
-
-    @cached_property
-    def _key_index(self) -> dict[int, int]:
-        return {key: i for i, key in enumerate(self._up_keys.tolist())}
 
     def subset_meets(self, j: int, members: Sequence[int]) -> list[int]:
         """Node index of meet({j} + B) for every subset B of ``members``.
@@ -475,14 +471,20 @@ def closed_form_atom(lattice: RedundancyLattice, alpha: Antichain,
     ``event_prob`` must be positive on alpha and on all child meets;
     a zero raises BoundaryError.
     """
+    return closed_form_atom_at(lattice, lattice.index(alpha),
+                               lambda i: event_prob(lattice.nodes[i]))
+
+
+def closed_form_atom_at(lattice: RedundancyLattice, j: int,
+                        prob_at: Callable[[int], Mass]) -> float:
+    """``closed_form_atom`` of node j; ``prob_at(i)`` is P(``lattice.nodes[i]``)."""
     def prob(i: int) -> Mass:
-        p = event_prob(lattice.nodes[i])
+        p = prob_at(i)
         if p <= 0:
             raise BoundaryError(f"event probability of {lattice.nodes[i].name} "
                                 "is not positive")
         return p
 
-    j = lattice.index(alpha)
     p_alpha = prob(j)
     kids = lattice.children_table[j]
     if not kids:

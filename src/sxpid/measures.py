@@ -46,7 +46,7 @@ import numpy as np
 from .dist import (Alphabet, CylinderEvent, DistributionError, JointDistribution,
                    Mass, Realization, _sum_masses, marginal, union_event_masses)
 from .lattice import (Antichain, RedundancyLattice, _log2, _log2_all,
-                      closed_form_atom, coalition_up_sets, enumerate_lattice,
+                      closed_form_atom_at, coalition_up_sets, enumerate_lattice,
                       invert_array)
 
 #: Exact rational log-arguments are carried only for lattices this small;
@@ -439,11 +439,8 @@ def atom_via_closed_form(d: JointDistribution, r: Realization, alpha: Antichain,
     if which not in ("plus", "minus"):
         raise ValueError("which must be 'plus' or 'minus'")
     plus, minus, p_t = node_event_probabilities(d, r, lat)
-    if which == "plus":
-        prob = lambda a: plus[lat.index(a)]
-    else:
-        prob = lambda a: minus[lat.index(a)] / p_t
-    return closed_form_atom(lat, alpha, prob)
+    prob_at = plus.__getitem__ if which == "plus" else lambda i: minus[i] / p_t
+    return closed_form_atom_at(lat, lat.index(alpha), prob_at)
 
 
 # ---------------------------------------------------------------------------

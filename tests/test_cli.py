@@ -208,6 +208,18 @@ def test_out_of_range_options_exit_2(capsys, argv, message):
     assert captured.out == "" and message in captured.err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["bench", "2", "--trials", "-1"], "--trials must be >= 1, got -1"),
+    (["bench", "2", "--trials", "0"], "--trials must be >= 1, got 0"),
+    (["compute", "xor", "--precision", "-1"], "--precision must be >= 0, got -1"),
+    (["example", "xor", "--precision", "-2"], "--precision must be >= 0, got -2"),
+])
+def test_bad_count_options_exit_2(capsys, argv, message):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
 def test_bench_deterministic_results(capsys):
     code, out1 = run(capsys, "bench", "2", "--trials", "2", "--seed", "5")
     assert code == 0

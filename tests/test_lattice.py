@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_grid_distribution
+from helpers import grid_points, random_grid_distribution
+from sxpid.dist import Alphabet
 from sxpid.lattice import (Antichain, BoundaryError, LatticeError, NODE_COUNTS,
-                           closed_form_atom, closed_form_plan,
+                           closed_form_atom, closed_form_plan, coalition_up_sets,
                            enumerate_lattice, invert_array,
                            leq, meet, moebius_invert, moebius_row,
                            normalize_antichain, parse_node_name)
@@ -228,6 +229,85 @@ def test_topological_order_bottom_up():
     for j in order:
         assert all(int(k) in seen for k in lat.strict_lower(int(j)))
         seen.add(j)
+
+
+def _dfs_antichains(n):
+    """Oracle: every antichain by a DFS over coalition masks, each emitted
+    once as an increasing mask sequence, in canonical order."""
+    out = []
+
+    def extend(chosen, start):
+        if chosen:
+            out.append(Antichain(n, tuple(chosen)))
+        for m in range(start + 1, 1 << n):
+            if all(m & c != c and m & c != m for c in chosen):
+                chosen.append(m)
+                extend(chosen, m)
+                chosen.pop()
+
+    extend([], 0)
+    return sorted(out, key=Antichain.sort_key)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_key_enumeration_matches_antichain_dfs(n):
+    lat = enumerate_lattice(n)
+    want = _dfs_antichains(n)
+    assert lat.nodes == tuple(want)
+    assert [a.name for a in lat.nodes] == [a.name for a in want]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_up_sets_match_coalition_up_sets(n):
+    lat = enumerate_lattice(n)
+    want = coalition_up_sets(n, [a.masks for a in lat.nodes])
+    assert lat.up_sets.dtype == want.dtype and np.array_equal(lat.up_sets, want)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_strict_lower_matches_leq_matrix(n):
+    lat = enumerate_lattice(n)
+    columns = np.ascontiguousarray(lat.leq_matrix.T)
+    for j in range(len(lat)):
+        want = np.flatnonzero(columns[j])
+        assert np.array_equal(lat.strict_lower(j), want[want != j])
+
+
+def test_no_production_path_reads_leq_matrix(monkeypatch):
+    from sxpid import grad, lattice, measures, report
+    from sxpid.dist import JointDistribution
+
+    def forbidden(self):
+        raise AssertionError("leq_matrix read on a production path")
+
+    monkeypatch.setattr(lattice, "_LATTICES", {})
+    monkeypatch.setattr(lattice.RedundancyLattice, "leq_matrix", property(forbidden))
+
+    rng = np.random.default_rng(14)
+    points = grid_points(2, (2,) * 5)
+    chosen = rng.choice(len(points), size=8, replace=False)
+    masses = rng.uniform(0.05, 1.0, size=8)
+    bit = lambda name: Alphabet(name, ("0", "1"))
+    d5 = JointDistribution.from_points(
+        bit("t"), [bit(f"s{i + 1}") for i in range(5)],
+        [(points[k], float(m)) for k, m in zip(chosen, masses / masses.sum())],
+        normalization_tolerance=1e-6)
+    decs = measures.decompose_support(d5)
+    avg = measures.average_decomposition(d5, decompositions=decs)
+    report.render_json(report.decomposition_report(d5, avg, decs))
+    report.render_average_table(avg)
+
+    for n in (2, 3):
+        d = random_grid_distribution(n, rng)
+        lat = enumerate_lattice(n)
+        r = d.support[0]
+        assert measures.axiom_suite(d, lat).passed
+        measures.atom_via_closed_form(d, r, lat.top, "minus", lat)
+        lattice.moebius_invert(lat, {a: float(i) for i, a in enumerate(lat.nodes)},
+                               verify_tol=1e-9)
+        point = grad.interior_mix(d, 0.1)
+        grad.optimize_atom(point, lat.top, steps=2)
+        grad.grad_atom(point, r, lat.top, path="closed")
 
 
 # ---------------------------------------------------------------------------
