@@ -51,9 +51,7 @@ def _load_input(spec: str, input_format: str | None,
         return load_distribution(fh, fmt, normalization_tolerance=tolerance)
 
 
-def _filter_nodes(doc: dict, names: list[str], n: int) -> dict:
-    lat = enumerate_lattice(n)
-    keep = {lat.node_by_name(x).name for x in names}
+def _filter_nodes(doc: dict, keep: set[str]) -> dict:
     doc = dict(doc)
     doc["nodes"] = [x for x in doc["nodes"] if x in keep]
     doc["averages"] = {k: v for k, v in doc["averages"].items() if k in keep}
@@ -64,18 +62,20 @@ def _filter_nodes(doc: dict, names: list[str], n: int) -> dict:
 
 def cmd_compute(args) -> int:
     d = _load_input(args.input, args.input_format, args.tolerance)
+    keep = None
+    if args.nodes:
+        lat = enumerate_lattice(d.n_sources)
+        keep = {lat.node_by_name(x).name for x in args.nodes}
     decs = measures.decompose_support(d, workers=args.workers)
     avg = measures.average_decomposition(d, decompositions=decs)
-    doc = report.decomposition_report(d, avg, decs if args.pointwise else None)
-    if args.nodes:
-        doc = _filter_nodes(doc, args.nodes, d.n_sources)
     if args.format == "json":
-        print(report.render_json(doc))
+        doc = report.decomposition_report(d, avg, decs if args.pointwise else None)
+        print(report.render_json(doc if keep is None else _filter_nodes(doc, keep)))
     else:
         if args.pointwise:
-            print(report.render_pointwise_tables(d, decs, args.precision))
+            print(report.render_pointwise_tables(d, decs, args.precision, keep))
             print()
-        print(report.render_average_table(avg, args.precision))
+        print(report.render_average_table(avg, args.precision, keep))
     return EXIT_OK
 
 
@@ -406,11 +406,18 @@ def cmd_bench(args) -> int:
     rng = np.random.default_rng(args.seed)
     dists = [_bench_distribution(args.n, rng) for _ in range(args.trials)]
     digests = []
-    times = []
+    times, average_times, report_times = [], [], []
     for d in dists:
         t0 = time.perf_counter()
         decs = measures.decompose_support(d, lat, workers=args.workers)
-        times.append(time.perf_counter() - t0)
+        t1 = time.perf_counter()
+        avg = measures.average_decomposition(d, lat, decompositions=decs)
+        t2 = time.perf_counter()
+        report.render_json(report.decomposition_report(d, avg))
+        t3 = time.perf_counter()
+        times.append(t1 - t0)
+        average_times.append(t2 - t1)
+        report_times.append(t3 - t2)
         payload = ";".join(f"{v:.12f}" for dec in decs for v in dec.pi)
         digests.append(hashlib.sha256(payload.encode()).hexdigest()[:16])
 
@@ -418,6 +425,8 @@ def cmd_bench(args) -> int:
                "seed": args.seed, "digests": digests}
     timing = {"lattice_build_s": round(build_s, 6),
               "per_trial_s": [round(t, 6) for t in times],
+              "average_s": [round(t, 6) for t in average_times],
+              "report_s": [round(t, 6) for t in report_times],
               "workers": args.workers}
     print(json.dumps({"results": results, "timing": timing}, indent=2))
     return EXIT_OK

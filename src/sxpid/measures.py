@@ -20,10 +20,13 @@ by a matrix product, which is not correctly rounded. The support scan of
 The per-node increments pi+/pi-/pi are recovered by Moebius inversion of
 i+/i- over the lattice (``lattice.invert_array``, one vector per part);
 both are nonnegative, pi = pi+ - pi- may not be. Averages weight the
-pointwise values by the realization masses over the support, each a
-correctly rounded ``math.fsum``. A decomposition keeps its six fields as
-one read-only 6 x N float block; the tuple accessors are built on first
-read. All logarithms are base 2; every quantity is in bits.
+pointwise values by the realization masses over the support; each is the
+correctly rounded sum that ``math.fsum`` gives, bit for bit, computed for
+all nodes and fields at once by ``fsum_columns`` (a TwoSum cascade with a
+rounding certificate; lanes it cannot certify go to ``math.fsum``). A
+decomposition keeps its six fields as one read-only 6 x N float block;
+the tuple accessors are built on first read. All logarithms are base 2;
+every quantity is in bits.
 
 When the distribution's masses are exact rationals, pointwise quantities
 are logs of rationals; for small lattices the exact log-arguments are
@@ -346,13 +349,72 @@ def average_decomposition(d: JointDistribution,
     weights = np.array([float(dec.weight) for dec in decs])
     # the products are those of a per-term fsum, so each sum is the
     # correctly rounded one
-    terms = np.stack([dec.block for dec in decs], axis=-1)
-    terms *= weights
-    # one field at a time, so that only N x R Python floats exist at once
-    return AverageDecomposition(
-        n=d.n_sources,
-        block=_read_only(np.array([list(map(math.fsum, field.tolist()))
-                                   for field in terms])))
+    terms = np.stack([dec.block for dec in decs])
+    terms *= weights[:, None, None]
+    return AverageDecomposition(n=d.n_sources,
+                                block=_read_only(fsum_columns(terms)))
+
+
+#: The significand bits of a float64.
+_MANTISSA = (1 << 52) - 1
+
+
+def fsum_columns(terms: np.ndarray) -> np.ndarray:
+    """``math.fsum`` down axis 0 of ``terms`` (R x ...), bit for bit.
+
+    One TwoSum cascade down the R rows gives each lane's float sum s and
+    the exact error of every addition (Ogita, Rump & Oishi 2005). The
+    errors are summed in floats to c, and y = fl(s + c) with its exact
+    error z, so the exact sum is y + z + (errors - c). That last term is at
+    most (R - 2) u times the sum of |errors| (u = 2^-53); the bound used
+    is twice that. When |z| + bound is below half the spacing of floats
+    next to y (the spacing below when |y| is a power of two), the exact
+    sum lies strictly inside y's rounding interval and y is ``fsum``'s
+    result. No other lane passes this test: not exact ties, not a zero or
+    subnormal y (half its spacing rounds to 0), and not a lane where a
+    term or a partial sum is not finite (NaN fails every comparison). Those
+    lanes are summed by ``math.fsum``, which also raises what it raises,
+    except the lanes of +0.0 alone, which take the zero ``fsum`` returns
+    for them. Temporaries are lane-sized.
+    """
+    rows, shape = len(terms), terms.shape[1:]
+    terms = terms.reshape(rows, -1)
+    s = terms[0].copy()
+    t, b, e = (np.empty_like(s) for _ in range(3))
+    c = np.zeros_like(s)
+    err_abs = np.zeros_like(s)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x in terms[1:]:
+            np.add(s, x, out=t)
+            np.subtract(t, s, out=b)
+            np.subtract(t, b, out=e)
+            np.subtract(s, e, out=e)
+            np.subtract(x, b, out=b)
+            e += b
+            c += e
+            err_abs += np.abs(e, out=e)
+            s, t = t, s
+        y = s + c
+        np.subtract(y, s, out=b)
+        np.subtract(y, b, out=e)
+        np.subtract(s, e, out=e)
+        c -= b
+        e += c  # z
+        half = np.abs(y, out=t)
+        power_of_two = (half.view(np.int64) & _MANTISSA) == 0
+        np.spacing(half, out=half)
+        half *= np.where(power_of_two, 0.25, 0.5)
+        err_abs *= rows * 2.0 ** -52
+        err_abs += np.abs(e, out=e)
+        certified = err_abs < half
+    # the lanes of +0.0 alone (all bits clear) are one and the same input
+    zero = np.flatnonzero(y == 0)
+    plus_zero = zero[~terms[:, zero].view(np.int64).any(axis=0)]
+    y[plus_zero] = math.fsum([0.0] * rows)
+    certified[plus_zero] = True
+    rest = np.flatnonzero(~certified)
+    y[rest] = list(map(math.fsum, terms[:, rest].T.tolist()))
+    return y.reshape(shape)
 
 
 def node_event_probabilities(d: JointDistribution, r: Realization,

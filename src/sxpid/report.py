@@ -7,7 +7,8 @@ signed atoms additionally carry ``misinformative: true``; exact rational
 log-arguments are included whenever the distribution allowed computing
 them. Tables list nodes bottom-up and print 4 decimals by default.
 Values are read column by column from the decompositions' blocks, and
-``render_json`` writes exactly the bytes of ``json.dumps(doc, indent=2)``.
+``render_json`` writes exactly the bytes of ``json.dumps(doc, indent=2)``;
+a node map of six-float blocks costs one ``repr`` per distinct float.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ import json
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain, compress
 from json.encoder import encode_basestring_ascii
-from typing import Iterator, Sequence
+from typing import Collection, Iterator, Sequence
 
 import numpy as np
 
@@ -43,25 +45,6 @@ def _columns(block: np.ndarray, order: Sequence[int]) -> Iterator[tuple[float, .
     return zip(*block[:, order].tolist())
 
 
-def _node_block(keys: Sequence[str], vals: Sequence[float],
-                exact: dict | None = None) -> dict:
-    block = dict(zip(keys, vals))
-    if vals[-1] < 0:  # the signed atom
-        block["misinformative"] = True
-    if exact is not None:
-        block["exact"] = exact
-    return block
-
-
-def _exact_blocks(dec: PointwiseDecomposition, order: Sequence[int]) -> list:
-    if dec.exact_pi_plus is None:
-        return [None] * len(order)
-    return [{"i_plus": str(dec.exact_i_plus[j]),
-             "i_minus": str(dec.exact_i_minus[j]),
-             "pi_plus": str(dec.exact_pi_plus[j]),
-             "pi_minus": str(dec.exact_pi_minus[j])} for j in order]
-
-
 def decomposition_report(d: JointDistribution, avg: AverageDecomposition,
                          decompositions: Sequence[PointwiseDecomposition] | None = None,
                          ) -> dict:
@@ -71,10 +54,7 @@ def decomposition_report(d: JointDistribution, avg: AverageDecomposition,
     doc: dict = {
         "n_sources": d.n_sources,
         "nodes": names,
-        "averages": {
-            name: _node_block(AVERAGE_FIELDS, vals)
-            for name, vals in zip(names, _columns(avg.block, order))
-        },
+        "averages": _node_blocks(names, AVERAGE_FIELDS, avg.block, order),
     }
     if decompositions is not None:
         doc["pointwise"] = [
@@ -85,15 +65,35 @@ def decomposition_report(d: JointDistribution, avg: AverageDecomposition,
                 "weight": float(dec.weight),
                 "weight_exact": _format_mass(dec.weight)
                 if isinstance(dec.weight, Fraction) else None,
-                "nodes": {
-                    name: _node_block(POINTWISE_FIELDS, vals, exact)
-                    for name, vals, exact in zip(names, _columns(dec.block, order),
-                                                 _exact_blocks(dec, order))
-                },
+                "nodes": _pointwise_blocks(dec, names, order),
             }
             for dec in decompositions
         ]
     return doc
+
+
+def _node_blocks(names: Sequence[str], keys: Sequence[str], block: np.ndarray,
+                 order: Sequence[int]) -> dict:
+    """Node name -> {key: value} over the block's columns in ``order``; a
+    node whose signed atom (the last row) is negative is flagged
+    ``misinformative``."""
+    nodes = {name: dict(zip(keys, col))
+             for name, col in zip(names, _columns(block, order))}
+    for name in compress(names, (block[-1, order] < 0).tolist()):
+        nodes[name]["misinformative"] = True
+    return nodes
+
+
+def _pointwise_blocks(dec: PointwiseDecomposition, names: Sequence[str],
+                      order: Sequence[int]) -> dict:
+    nodes = _node_blocks(names, POINTWISE_FIELDS, dec.block, order)
+    if dec.exact_pi_plus is not None:
+        for name, j in zip(names, order):
+            nodes[name]["exact"] = {"i_plus": str(dec.exact_i_plus[j]),
+                                    "i_minus": str(dec.exact_i_minus[j]),
+                                    "pi_plus": str(dec.exact_pi_plus[j]),
+                                    "pi_minus": str(dec.exact_pi_minus[j])}
+    return nodes
 
 
 # ---------------------------------------------------------------------------
@@ -104,10 +104,12 @@ def render_json(doc: dict) -> str:
     """``json.dumps(doc, indent=2)``, byte for byte.
 
     The report's node maps (``averages`` and each realization's ``nodes``)
-    are written one node at a time, and a node block of six finite floats,
-    optionally flagged ``misinformative``, fills a cached ``%r`` template.
-    Everything else goes through ``json.dumps`` and is re-indented, which is
-    exact because JSON strings hold no raw newline.
+    are written whole when every node block holds six finite floats in
+    either field layout, optionally flagged ``misinformative``: one
+    ``repr`` per distinct float, joined with the layout's fixed text. Any
+    other node map is written one block at a time, and everything else
+    goes through ``json.dumps`` and is re-indented, which is exact because
+    JSON strings hold no raw newline.
     """
     return _dict(doc, "", _doc_value)
 
@@ -131,7 +133,7 @@ def _dict(value, indent: str, write_value) -> str:
 
 def _doc_value(key: str, value, indent: str) -> str:
     if key == "averages":
-        return _dict(value, indent, _node_value)
+        return _node_map(value, indent)
     if key == "pointwise" and type(value) is list and value:
         inner = indent + "  "
         items = [inner + _dict(r, inner, _realization_value) for r in value]
@@ -141,37 +143,84 @@ def _doc_value(key: str, value, indent: str) -> str:
 
 def _realization_value(key: str, value, indent: str) -> str:
     if key == "nodes":
-        return _dict(value, indent, _node_value)
+        return _node_map(value, indent)
     return _dumps(value, indent)
+
+
+def _node_map(nodes, indent: str) -> str:
+    """A node map ``indent`` deep: whole when every block qualifies (see
+    ``render_json``), else block by block."""
+    text = _uniform_node_map(nodes, indent) if type(nodes) is dict else None
+    return _dict(nodes, indent, _node_value) if text is None else text
+
+
+def _uniform_node_map(nodes: dict, indent: str) -> str | None:
+    """The whole node map's text, or None unless every block qualifies."""
+    blocks = list(nodes.values())
+    if set(map(type, nodes)) != {str} or set(map(type, blocks)) != {dict}:
+        return None
+    inner = indent + "  "
+    codes = list(map(_BLOCK_LAYOUTS.get, map(tuple, blocks)))
+    if None in codes:
+        return None
+    flagged = [len(b) == 7 for b in blocks]
+    if not all(b["misinformative"] is True for b in compress(blocks, flagged)):
+        return None
+    # with every flag True, a True left out of a value slot shortens the list
+    values = [v for v in chain.from_iterable(map(dict.values, blocks))
+              if v is not True]
+    if len(values) != 6 * len(blocks) or set(map(type, values)) != {float}:
+        return None
+    floats = np.array(values)
+    if not np.isfinite(floats).all():
+        return None
+    # one repr per bit pattern, so 0.0 and -0.0 stay apart
+    bits, inverse = np.unique(floats.view(np.int64), return_inverse=True)
+    reprs = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+    rows = np.empty((len(blocks), 16), dtype=object)
+    rows[:, 0] = ",\n" + inner
+    rows[0, 0] = inner
+    rows[:, 1] = list(map(encode_basestring_ascii, nodes))
+    rows[:, 2] = ": "
+    rows[:, 3::2] = _block_pieces(inner)[codes]
+    rows[:, 4:15:2] = reprs[inverse].reshape(-1, 6)
+    return "{\n" + "".join(rows.ravel().tolist()) + "\n" + indent + "}"
 
 
 def _node_value(key: str, block, indent: str) -> str:
     if type(block) is dict:
-        template = _block_templates(indent).get(tuple(block))
-        if template is not None:
+        code = _BLOCK_LAYOUTS.get(tuple(block))
+        if code is not None:
             vals = tuple(block.values())
             if len(vals) == 6 or vals[6] is True:
                 vals = vals[:6]
                 if tuple(map(type, vals)) == _SIX_FLOATS and math.isfinite(sum(vals)):
-                    return template % vals
+                    return "%r".join(_block_pieces(indent)[code]) % vals
     return _dumps(block, indent)
 
 
 _SIX_FLOATS = (float,) * 6
+_BLOCK_KEYS = [keys for fields in (AVERAGE_FIELDS, POINTWISE_FIELDS)
+               for keys in (fields, fields + ("misinformative",))]
+
+
+#: Key tuple of a node block -> its row in ``_block_pieces``.
+_BLOCK_LAYOUTS = {keys: k for k, keys in enumerate(_BLOCK_KEYS)}
 
 
 @lru_cache(maxsize=None)
-def _block_templates(indent: str) -> dict[tuple[str, ...], str]:
-    """Key tuple -> %-template of a node block ``indent`` deep: the six
-    fields of either layout, each optionally followed by the flag."""
+def _block_pieces(indent: str) -> np.ndarray:
+    """The fixed text of a node block ``indent`` deep, one row per key
+    tuple of ``_BLOCK_KEYS``: the text before each of the six values and
+    the text after the last."""
     inner = indent + "  "
-    templates = {}
-    for fields in (AVERAGE_FIELDS, POINTWISE_FIELDS):
-        lines = [f"{inner}{encode_basestring_ascii(k)}: %r" for k in fields]
-        for keys, tail in ((fields, lines), (fields + ("misinformative",),
-                                             lines + [f'{inner}"misinformative": true'])):
-            templates[keys] = "{\n" + ",\n".join(tail) + "\n" + indent + "}"
-    return templates
+    rows = []
+    for keys in _BLOCK_KEYS:
+        heads = [f",\n{inner}{encode_basestring_ascii(k)}: " for k in keys[:6]]
+        heads[0] = "{" + heads[0][1:]
+        flag = f',\n{inner}"misinformative": true' if len(keys) == 7 else ""
+        rows.append(heads + [flag + "\n" + indent + "}"])
+    return np.array(rows, dtype=object)
 
 
 def _table(headers: list[str], rows: list[list[str]]) -> str:
@@ -184,32 +233,35 @@ def _table(headers: list[str], rows: list[list[str]]) -> str:
     return "\n".join([fmt(headers), rule] + [fmt(row) for row in rows])
 
 
-def _value_rows(names: Sequence[str], block: np.ndarray, order: Sequence[int],
-                precision: int) -> list[list[str]]:
+def _value_rows(lat: RedundancyLattice, block: np.ndarray, precision: int,
+                keep: Collection[str] | None) -> list[list[str]]:
+    """One row per node in display order, restricted to ``keep`` if given."""
+    order = display_order(lat)
+    if keep is not None:
+        order = [j for j in order if lat.nodes[j].name in keep]
+    names = [lat.nodes[j].name for j in order]
     fmt = f"{{:.{precision}f}}".format
     return [[name, *map(fmt, vals)]
             for name, vals in zip(names, _columns(block, order))]
 
 
-def render_average_table(avg: AverageDecomposition, precision: int = 4) -> str:
-    lat = avg.lattice
-    order = display_order(lat)
-    names = [lat.nodes[j].name for j in order]
+def render_average_table(avg: AverageDecomposition, precision: int = 4,
+                         keep: Collection[str] | None = None) -> str:
+    """The averages table; ``keep`` restricts it to these node names."""
     return _table(["node", "I+", "I-", "I", "Pi+", "Pi-", "Pi"],
-                  _value_rows(names, avg.block, order, precision))
+                  _value_rows(avg.lattice, avg.block, precision, keep))
 
 
 def render_pointwise_tables(d: JointDistribution,
                             decompositions: Sequence[PointwiseDecomposition],
-                            precision: int = 4) -> str:
+                            precision: int = 4,
+                            keep: Collection[str] | None = None) -> str:
+    """One table per realization; ``keep`` restricts them to these node names."""
     sections = []
     for dec in decompositions:
-        lat = dec.lattice
-        order = display_order(lat)
-        names = [lat.nodes[j].name for j in order]
         head = (f"{realization_label(d, dec.realization)}  "
                 f"p={_format_mass(dec.weight)}")
         sections.append(head + "\n" + _table(
             ["node", "i+", "i-", "i", "pi+", "pi-", "pi"],
-            _value_rows(names, dec.block, order, precision)))
+            _value_rows(dec.lattice, dec.block, precision, keep)))
     return "\n\n".join(sections)

@@ -86,6 +86,19 @@ def test_compute_node_filter_and_precision(capsys):
     assert "0.415037" in out
 
 
+def test_compute_node_filter_tables(capsys):
+    for extra, sections in (([], 1), (["--pointwise"], 5)):
+        code, out = run(capsys, "compute", "xor", "--nodes", "{1,2}",
+                        "--nodes", "{1}", *extra)
+        assert code == 0
+        tables = out.strip().split("\n\n")
+        assert len(tables) == sections  # each realization, then the averages
+        for table in tables:
+            nodes = [line.split()[0] for line in table.splitlines()
+                     if line.startswith("{")]
+            assert nodes == ["{1}", "{1,2}"]  # display order, not argument order
+
+
 def test_validation_exit_code(tmp_path, capsys):
     f = tmp_path / "bad.csv"
     f.write_text("t,s1,p\n0,0,0.5\n1,1,0.4\n")
@@ -228,6 +241,9 @@ def test_bench_deterministic_results(capsys):
     r1, r2 = json.loads(out1)["results"], json.loads(out2)["results"]
     assert r1 == r2
     assert r1["atoms"] == 4 and len(r1["digests"]) == 2
+    timing = json.loads(out1)["timing"]
+    for key in ("per_trial_s", "average_s", "report_s"):
+        assert len(timing[key]) == 2 and all(t >= 0 for t in timing[key])
 
 
 def test_workers_env_default(monkeypatch):

@@ -287,6 +287,104 @@ def test_pointwise_and_average_equal_per_node_reference(name):
         assert getattr(avg, f[0].upper() + f[1:]) == want, f
 
 
+def assert_fsum_columns(lanes):
+    """``M.fsum_columns`` on the lanes (equal-length term lists) as columns
+    equals ``math.fsum`` of each lane in bits, zero signs and NaNs included."""
+    got = M.fsum_columns(np.array(lanes, dtype=float).T)
+    want = np.array([math.fsum(lane) for lane in lanes])
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+TINY, ULP1 = 2.0 ** -1074, 2.0 ** -52
+FSUM_LANES = {
+    1: [[0.1], [-0.0], [0.0], [TINY], [-3e-310], [2.0 ** 1000], [-1e308],
+        [math.inf], [math.nan]],
+    2: [
+        # exact half-ulp ties, rounding to even either way
+        [1.0, ULP1 / 2], [1.0 + ULP1, ULP1 / 2], [2.0 ** 53, 1.0],
+        [2.0 ** 53 + 2, 1.0], [-1.0, -ULP1 / 2], [3.0, ULP1],
+        # nonzero terms that cancel to 0
+        [0.1, -0.1], [-TINY, TINY], [1e308, -1e308],
+        # all-zero lanes
+        [0.0, 0.0], [-0.0, -0.0], [0.0, -0.0], [-0.0, 0.0],
+        # just below a power of two, and exactly at one
+        [1.0, -ULP1 / 4], [1.0, -ULP1 / 2], [2.0, -ULP1 / 2], [4.0, -ULP1],
+        [-1.0, ULP1 / 4], [0.75, 0.25], [0.5, 0.5 - ULP1 / 4],
+        # subnormal results
+        [2.0 ** -1070, 2.0 ** -1073], [TINY, TINY], [2.0 ** -1022, -TINY],
+        [1e-310, -1e-311], [2.0 ** -1021, -2.0 ** -1022 - TINY],
+        # |x| >= 2^1000
+        [2.0 ** 1000, 1.0], [2.0 ** 1000, -2.0 ** 1000], [-2.0 ** 1023, 2.0 ** 970],
+        # non-finite terms that fsum sums
+        [math.inf, 1.0], [-math.inf, -math.inf], [math.nan, 1.0],
+        [math.inf, math.nan], [1.0, -math.inf],
+    ],
+    5: [
+        [1.0, ULP1 / 2, 0.0, -0.0, 0.0], [1e16, 1.0, 1e-16, 0.0, 0.0],
+        [1.0, 1e100, 1.0, -1e100, 0.0], [0.1, 0.2, -0.3, 0.0, 0.0],
+        [2.0 ** 1000, 2.0 ** 1000, -2.0 ** 1000, 1.0, 0.0],
+        # a hair either side of the midpoint below a power of two
+        [1.0, -ULP1 / 4, -2.0 ** -110, 0.0, 0.0],
+        [1.0, -ULP1 / 4, 2.0 ** -110, 0.0, 0.0],
+        [-0.0, -0.0, -0.0, -0.0, -0.0], [-0.0, 0.0, -0.0, -0.0, -0.0],
+        [TINY, TINY, TINY, -TINY, 2.0 ** -1060],
+    ],
+    7: [
+        # the float sum of the errors drops the bit that decides the rounding
+        [1.5, 2.0 ** 13, 2.0 ** -41, 2.0 ** -53 - 2.0 ** -93 + 2.0 ** -95,
+         -2.0 ** -41, -2.0 ** 13, 2.0 ** -93 - 2.0 ** -100],
+    ],
+}
+
+
+@pytest.mark.parametrize("rows", sorted(FSUM_LANES))
+def test_fsum_columns_pinned_cases(rows):
+    assert_fsum_columns(FSUM_LANES[rows])
+    for lane in FSUM_LANES[rows]:  # alone, so no other lane can mask it
+        assert_fsum_columns([lane])
+
+
+@pytest.mark.parametrize("lane, error", [
+    ([math.inf, -math.inf], ValueError),
+    ([1.0, math.inf, 2.0, -math.inf], ValueError),
+    ([1e308, 1e308], OverflowError),
+    ([1.7e308, 1.7e308, -1.7e308], OverflowError),
+])
+def test_fsum_columns_raises_what_fsum_raises(lane, error):
+    with pytest.raises(error) as want:
+        math.fsum(lane)
+    finite = [0.5] * len(lane)
+    with pytest.raises(error) as got:
+        M.fsum_columns(np.array([finite, lane, finite]).T)
+    assert str(got.value) == str(want.value)
+
+
+def test_fsum_columns_seeded_sweep():
+    rng = np.random.default_rng(2005)
+    for rows in (1, 2, 3, 8, 17, 64):
+        scale = 10.0 ** rng.integers(-30, 30, size=(2000, rows))
+        plain = rng.standard_normal((2000, rows)) * scale
+        cancelling = rng.standard_normal((2000, rows))
+        cancelling[:, -1] = -cancelling[:, :-1].sum(axis=1)
+        ties = (rng.integers(-2 ** 53, 2 ** 53, size=(2000, rows))
+                * 2.0 ** -rng.integers(40, 70, size=(2000, 1)))
+        sparse = rng.standard_normal((2000, rows))
+        sparse[rng.random((2000, rows)) < 0.7] = 0.0
+        sparse[rng.random((2000, rows)) < 0.3] *= -1
+        for lanes in (plain, cancelling, ties, sparse):
+            assert_fsum_columns(lanes.tolist())
+    # the weighted terms of real decompositions, and their averages
+    for d in (random_grid_distribution(4, rng), xorduplicate_distribution(),
+              parity_distribution(3)):
+        decs = M.decompose_support(d)
+        terms = np.stack([dec.block for dec in decs])
+        terms *= np.array([float(dec.weight) for dec in decs])[:, None, None]
+        assert_fsum_columns(terms.reshape(len(decs), -1).T.tolist())
+        avg = M.average_decomposition(d, decompositions=decs)
+        assert np.array_equal(avg.block.view(np.int64),
+                              M.fsum_columns(terms).view(np.int64))
+
+
 # ---------------------------------------------------------------------------
 # structural invariants on random distributions
 # ---------------------------------------------------------------------------

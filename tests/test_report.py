@@ -60,6 +60,12 @@ def _block(keys, vals, **extra):
 
 AVG, PW = M.AVERAGE_FIELDS, M.POINTWISE_FIELDS
 FINITE = [0.1, -0.0, 1e-300, -2.5e17, 3.0, -1 / 3]
+REPEATED = 0.1 + 0.2
+
+
+class FloatSub(float):
+    pass
+
 
 HAND_MADE = [
     {"n_sources": 2, "nodes": ["{1}{2}", "{α}"], "averages": {
@@ -91,6 +97,36 @@ HAND_MADE = [
      "pointwise": [{"weight": Fraction(1, 2), "nodes": {}}]},
     {"extra": {"a": [1, {"b": None}]}, "averages": None, "pointwise": {"x": 1}},
     [1, 2],
+    # node maps written whole: one value repeated across nodes and fields,
+    # 0.0 and -0.0 side by side, flagged blocks among unflagged ones
+    {"n_sources": 2, "nodes": ["{1}{2}", "{1}", "{2}", "{1,2}"], "averages": {
+        "{1}{2}": _block(AVG, [REPEATED, 0.0, -0.0, REPEATED, 1e-300, -2.5],
+                         misinformative=True),
+        "{1}": _block(AVG, [REPEATED] * 6),
+        "{2}": _block(AVG, [-0.0, 0.0, REPEATED, -0.0, 0.0, 3.0]),
+        "{1,2}": _block(AVG, FINITE, misinformative=True),
+    }, "pointwise": [{"t": "0", "s": ["0", "1"], "weight": REPEATED,
+                      "weight_exact": None, "nodes": {
+                          "{1}{2}": _block(PW, [-0.0] * 6, misinformative=True),
+                          "{1}": _block(PW, [0.0] * 6),
+                          "{2}": _block(PW, FINITE[::-1])}}]},
+    # the same maps with one block that is not six plain floats
+    {"averages": {"a": _block(AVG, FINITE), "b": _block(AVG, [True] + FINITE[1:]),
+                  "c": _block(AVG, FINITE, misinformative=True)}},
+    {"averages": {"a": _block(AVG, [REPEATED] * 6, misinformative=True),
+                  "sub": _block(AVG, FINITE[:4] + [FloatSub(REPEATED)] + FINITE[5:])}},
+    {"averages": {"a": _block(AVG, [0.0] * 6),
+                  "np": _block(AVG, [np.float64(-0.0)] + FINITE[1:],
+                               misinformative=True)}},
+    {"averages": {"a": _block(AVG, FINITE, misinformative=True),
+                  "flag": _block(AVG, FINITE, misinformative=REPEATED)}},
+    {"averages": {"a": _block(AVG, [True] + FINITE[1:]),
+                  "flag": _block(AVG, FINITE, misinformative=2.5)}},
+    {"averages": {"a": _block(AVG, FINITE), "int": _block(AVG, [1] + FINITE[1:]),
+                  "false": _block(AVG, FINITE[:5] + [False])}},
+    {"averages": {"a": _block(AVG, FINITE), "nan": _block(AVG, FINITE[:5] + [math.nan])},
+     "pointwise": [{"nodes": {"a": _block(PW, FINITE),
+                              "inf": _block(PW, [-math.inf] + FINITE[1:])}}]},
 ]
 
 
