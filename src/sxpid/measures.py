@@ -370,12 +370,14 @@ def fsum_columns(terms: np.ndarray) -> np.ndarray:
     is twice that. When |z| + bound is below half the spacing of floats
     next to y (the spacing below when |y| is a power of two), the exact
     sum lies strictly inside y's rounding interval and y is ``fsum``'s
-    result. No other lane passes this test: not exact ties, not a zero or
-    subnormal y (half its spacing rounds to 0), and not a lane where a
-    term or a partial sum is not finite (NaN fails every comparison). Those
-    lanes are summed by ``math.fsum``, which also raises what it raises,
-    except the lanes of +0.0 alone, which take the zero ``fsum`` returns
-    for them. Temporaries are lane-sized.
+    result. Lanes whose terms sum in magnitude to 2^1000 or more (which
+    includes any lane with a term that is not finite) are not certified:
+    below that no partial sum, here or in ``fsum``, can overflow. Nor is
+    an exact tie, or a zero or subnormal y (half its spacing rounds to 0).
+    Those lanes are summed by ``math.fsum``, which also raises what it
+    raises, except the lanes of +0.0 alone, which take the zero ``fsum``
+    returns for them. Besides lane-sized vectors, the temporaries are
+    column subsets of ``terms``, no larger than it.
     """
     rows, shape = len(terms), terms.shape[1:]
     terms = terms.reshape(rows, -1)
@@ -383,8 +385,10 @@ def fsum_columns(terms: np.ndarray) -> np.ndarray:
     t, b, e = (np.empty_like(s) for _ in range(3))
     c = np.zeros_like(s)
     err_abs = np.zeros_like(s)
+    abs_sum = np.abs(s)
     with np.errstate(over="ignore", invalid="ignore"):
         for x in terms[1:]:
+            abs_sum += np.abs(x, out=t)
             np.add(s, x, out=t)
             np.subtract(t, s, out=b)
             np.subtract(t, b, out=e)
@@ -407,6 +411,7 @@ def fsum_columns(terms: np.ndarray) -> np.ndarray:
         err_abs *= rows * 2.0 ** -52
         err_abs += np.abs(e, out=e)
         certified = err_abs < half
+        certified &= abs_sum < 2.0 ** 1000
     # the lanes of +0.0 alone (all bits clear) are one and the same input
     zero = np.flatnonzero(y == 0)
     plus_zero = zero[~terms[:, zero].view(np.int64).any(axis=0)]

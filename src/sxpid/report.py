@@ -14,7 +14,6 @@ a node map of six-float blocks costs one ``repr`` per distinct float.
 from __future__ import annotations
 
 import json
-import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, compress
@@ -107,9 +106,9 @@ def render_json(doc: dict) -> str:
     are written whole when every node block holds six finite floats in
     either field layout, optionally flagged ``misinformative``: one
     ``repr`` per distinct float, joined with the layout's fixed text. Any
-    other node map is written one block at a time, and everything else
-    goes through ``json.dumps`` and is re-indented, which is exact because
-    JSON strings hold no raw newline.
+    other node map, and everything else, goes through ``json.dumps`` and
+    is re-indented, which is exact because JSON strings hold no raw
+    newline.
     """
     return _dict(doc, "", _doc_value)
 
@@ -148,10 +147,10 @@ def _realization_value(key: str, value, indent: str) -> str:
 
 
 def _node_map(nodes, indent: str) -> str:
-    """A node map ``indent`` deep: whole when every block qualifies (see
-    ``render_json``), else block by block."""
+    """A node map ``indent`` deep: from templates when every block
+    qualifies (see ``render_json``), else by ``json.dumps``."""
     text = _uniform_node_map(nodes, indent) if type(nodes) is dict else None
-    return _dict(nodes, indent, _node_value) if text is None else text
+    return _dumps(nodes, indent) if text is None else text
 
 
 def _uniform_node_map(nodes: dict, indent: str) -> str | None:
@@ -187,19 +186,6 @@ def _uniform_node_map(nodes: dict, indent: str) -> str | None:
     return "{\n" + "".join(rows.ravel().tolist()) + "\n" + indent + "}"
 
 
-def _node_value(key: str, block, indent: str) -> str:
-    if type(block) is dict:
-        code = _BLOCK_LAYOUTS.get(tuple(block))
-        if code is not None:
-            vals = tuple(block.values())
-            if len(vals) == 6 or vals[6] is True:
-                vals = vals[:6]
-                if tuple(map(type, vals)) == _SIX_FLOATS and math.isfinite(sum(vals)):
-                    return "%r".join(_block_pieces(indent)[code]) % vals
-    return _dumps(block, indent)
-
-
-_SIX_FLOATS = (float,) * 6
 _BLOCK_KEYS = [keys for fields in (AVERAGE_FIELDS, POINTWISE_FIELDS)
                for keys in (fields, fields + ("misinformative",))]
 

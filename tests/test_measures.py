@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -295,7 +296,7 @@ def assert_fsum_columns(lanes):
     assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
 
 
-TINY, ULP1 = 2.0 ** -1074, 2.0 ** -52
+TINY, ULP1, BIG = 2.0 ** -1074, 2.0 ** -52, sys.float_info.max
 FSUM_LANES = {
     1: [[0.1], [-0.0], [0.0], [TINY], [-3e-310], [2.0 ** 1000], [-1e308],
         [math.inf], [math.nan]],
@@ -315,6 +316,7 @@ FSUM_LANES = {
         [1e-310, -1e-311], [2.0 ** -1021, -2.0 ** -1022 - TINY],
         # |x| >= 2^1000
         [2.0 ** 1000, 1.0], [2.0 ** 1000, -2.0 ** 1000], [-2.0 ** 1023, 2.0 ** 970],
+        [BIG, 2.0 ** 969], [-BIG, 2.0 ** 969], [BIG, -BIG],
         # non-finite terms that fsum sums
         [math.inf, 1.0], [-math.inf, -math.inf], [math.nan, 1.0],
         [math.inf, math.nan], [1.0, -math.inf],
@@ -349,6 +351,8 @@ def test_fsum_columns_pinned_cases(rows):
     ([1.0, math.inf, 2.0, -math.inf], ValueError),
     ([1e308, 1e308], OverflowError),
     ([1.7e308, 1.7e308, -1.7e308], OverflowError),
+    # the float sum is BIG, but the exact one is past the overflow midpoint
+    ([BIG, 2.0 ** 970 - 2.0 ** 917] + [2.0 ** 915] * 5, OverflowError),
 ])
 def test_fsum_columns_raises_what_fsum_raises(lane, error):
     with pytest.raises(error) as want:
