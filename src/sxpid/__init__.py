@@ -15,9 +15,9 @@ from .dist import (Alphabet, CylinderEvent, DistributionError,
                    dump_csv, dump_json, event_probability, load_distribution,
                    marginal)
 from .grad import (GradientRecord, SimplexPoint, central_difference,
-                   fd_mismatch, grad_atom, grad_average, grad_i_sx_parts,
-                   interior_mix, optimize_atom, optimize_atom_mechanism_fixed,
-                   random_interior, simplex_point_from_distribution)
+                   fd_mismatch, grad_atom, grad_atom_via_closed_form,
+                   grad_average, grad_i_sx_parts, interior_mix, optimize_atom,
+                   optimize_atom_mechanism_fixed, random_interior)
 from .lattice import (Antichain, BoundaryError, LatticeError, RedundancyLattice,
                       closed_form_atom, enumerate_lattice, leq, meet,
                       moebius_invert, normalize_antichain, parse_node_name)
@@ -45,14 +45,13 @@ __all__ = [
     "conditional_i_sx", "decompose_support", "dump_csv", "dump_json",
     "duplicate_invariance_check", "entropy_decomposition",
     "enumerate_lattice", "event_probability", "fd_mismatch",
-    "form_equivalence_max_dev", "grad_atom", "grad_average",
-    "grad_i_sx_parts", "i_sx", "i_sx_minus", "i_sx_plus", "interior_mix",
-    "leq", "load_distribution", "local_mi", "marginal", "meet",
+    "form_equivalence_max_dev", "grad_atom", "grad_atom_via_closed_form",
+    "grad_average", "grad_i_sx_parts", "i_sx", "i_sx_minus", "i_sx_plus",
+    "interior_mix", "leq", "load_distribution", "local_mi", "marginal", "meet",
     "moebius_invert", "node_event_probabilities", "normalize_antichain",
-    "optimize_atom",
-    "optimize_atom_mechanism_fixed", "parity_distribution",
+    "optimize_atom", "optimize_atom_mechanism_fixed", "parity_distribution",
     "parse_node_name", "pointwise_decomposition", "pwunq_distribution",
     "random_interior", "rnd_distribution", "rnderr_distribution",
-    "self_shared", "simplex_point_from_distribution", "target_chain_terms",
-    "v_channel_xor", "xor_distribution", "xorduplicate_distribution",
+    "self_shared", "target_chain_terms", "v_channel_xor", "xor_distribution",
+    "xorduplicate_distribution",
 ]

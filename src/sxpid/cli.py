@@ -2,7 +2,7 @@
 
 Subcommands: compute, example, lattice, gradient, optimize, bench.
 Exit codes: 0 success, 2 validation error, 3 assertion failure in
-example mode. SXPID_WORKERS sets the default worker count.
+example mode.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 import time
 from pathlib import Path
@@ -28,13 +27,6 @@ from .lattice import (BoundaryError, LatticeError, enumerate_lattice,
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_ASSERTION = 3
-
-
-def _default_workers() -> int:
-    value = os.environ.get("SXPID_WORKERS", "1")
-    if not value.strip().isdecimal() or int(value) < 1:
-        raise ValueError(f"SXPID_WORKERS must be a positive integer, got {value!r}")
-    return int(value)
 
 
 def _load_input(spec: str, input_format: str | None,
@@ -66,7 +58,7 @@ def cmd_compute(args) -> int:
     if args.nodes:
         lat = enumerate_lattice(d.n_sources)
         keep = {lat.node_by_name(x).name for x in args.nodes}
-    decs = measures.decompose_support(d, workers=args.workers)
+    decs = measures.decompose_support(d)
     avg = measures.average_decomposition(d, decompositions=decs)
     if args.format == "json":
         doc = report.decomposition_report(d, avg, decs if args.pointwise else None)
@@ -90,7 +82,7 @@ def _close(a: float, b: float, tol: float) -> bool:
     return abs(a - b) <= tol
 
 
-def _xor_checks(d) -> list[tuple[str, bool, str]]:
+def _xor_checks(d, decs, avg) -> list[tuple[str, bool, str]]:
     dec = measures.pointwise_decomposition(d, Realization(t=0, s=(1, 1)))
     lat = dec.lattice
     exact = {"{1}{2}": _L2(2 / 3), "{1}": _L2(3 / 2),
@@ -105,19 +97,17 @@ def _xor_checks(d) -> list[tuple[str, bool, str]]:
         out.append((f"pi({name}) exact", _close(got, want, 1e-9), f"{got:.6f}"))
         out.append((f"pi({name}) printed", _close(got, printed[name], 1e-3),
                     f"{got:.4f} vs {printed[name]}"))
-    avg = measures.average_decomposition(d)
     same = all(_close(avg.Pi[j], dec.pi[j], 1e-12) for j in range(len(lat.nodes)))
     out.append(("averages equal pointwise values (symmetry)", same, ""))
     return out
 
 
-def _pwunq_checks(d) -> list[tuple[str, bool, str]]:
-    avg = measures.average_decomposition(d)
+def _pwunq_checks(d, decs, avg) -> list[tuple[str, bool, str]]:
     want = {"{1}{2}": 0.0, "{1}": 0.5, "{2}": 0.5, "{1,2}": 0.0}
     out = [(f"Pi({name})", _close(avg.pi_by_name(name), v, 1e-9),
             f"{avg.pi_by_name(name):.6f}") for name, v in want.items()]
     ok = True
-    for dec in measures.decompose_support(d):
+    for dec in decs:
         informative = 1 if dec.realization.s[0] == 0 else 0  # which source fixes t
         want_plus = {"{1}{2}": 1.0, "{1}": 1.0 - informative,
                      "{2}": float(informative), "{1,2}": 0.0}
@@ -130,15 +120,13 @@ def _pwunq_checks(d) -> list[tuple[str, bool, str]]:
     return out
 
 
-def _rnd_checks(d) -> list[tuple[str, bool, str]]:
-    avg = measures.average_decomposition(d)
+def _rnd_checks(d, decs, avg) -> list[tuple[str, bool, str]]:
     want = {"{1}{2}": 1.0, "{1}": 0.0, "{2}": 0.0, "{1,2}": 0.0}
     return [(f"Pi({name})", _close(avg.pi_by_name(name), v, 1e-9),
              f"{avg.pi_by_name(name):.6f}") for name, v in want.items()]
 
 
-def _rnderr_checks(d) -> list[tuple[str, bool, str]]:
-    avg = measures.average_decomposition(d)
+def _rnderr_checks(d, decs, avg) -> list[tuple[str, bool, str]]:
     want = {
         "{1}{2}": 0.75 * _L2(8 / 5) + 0.25 * _L2(8 / 7),
         "{1}": 0.75 * _L2(5 / 4) + 0.25 * _L2(7 / 4),
@@ -156,7 +144,7 @@ XORDUP_EXPECTED_PI = {
 }
 
 
-def _xorduplicate_checks(d) -> list[tuple[str, bool, str]]:
+def _xorduplicate_checks(d, decs, avg) -> list[tuple[str, bool, str]]:
     rep = measures.duplicate_invariance_check(d, pair=(1, 3),
                                               expected_pi=XORDUP_EXPECTED_PI,
                                               tol=1e-3)
@@ -187,8 +175,7 @@ PARITY3_EXPECTED = {
 }
 
 
-def _parity3_checks(d) -> list[tuple[str, bool, str]]:
-    avg = measures.average_decomposition(d)
+def _parity3_checks(d, decs, avg) -> list[tuple[str, bool, str]]:
     lat = avg.lattice
     out = []
     for name, (wp, wm) in PARITY3_EXPECTED.items():
@@ -200,7 +187,7 @@ def _parity3_checks(d) -> list[tuple[str, bool, str]]:
     return out
 
 
-def _parity4_checks(d) -> list[tuple[str, bool, str]]:
+def _parity4_checks(d, decs, avg) -> list[tuple[str, bool, str]]:
     r = Realization(t=1, s=(0, 0, 1, 0))
     lat = enumerate_lattice(4)
     alpha = lat.node_by_name("{1,2}{3,4}")
@@ -215,9 +202,8 @@ def _parity4_checks(d) -> list[tuple[str, bool, str]]:
     ]
 
 
-def _parity_generic_checks(d) -> list[tuple[str, bool, str]]:
-    lat = enumerate_lattice(d.n_sources)
-    dec = measures.pointwise_decomposition(d, d.support[0], lat)
+def _parity_generic_checks(d, decs, avg) -> list[tuple[str, bool, str]]:
+    lat, dec = avg.lattice, decs[0]
     total = math.fsum(dec.pi)
     mi = measures.local_mi(d, d.support[0], range(1, d.n_sources + 1))
     return [(f"{len(lat)} atoms sum to the full local mutual information",
@@ -256,15 +242,15 @@ def cmd_example(args) -> int:
               f"I(shared rows) = {rep.avg_info_shared:+.4f} bits")
     else:
         d = builtin_distribution(name)
-        avg = measures.average_decomposition(d, workers=args.workers)
+        decs = measures.decompose_support(d)
+        avg = measures.average_decomposition(d, decompositions=decs)
         print(report.render_average_table(avg, args.precision))
         if args.atom:
             lat = avg.lattice
             alpha = lat.node_by_name(args.atom)
-            dec = measures.pointwise_decomposition(d, d.support[0], lat)
             print(f"\npi({alpha.name}) at "
                   f"{report.realization_label(d, d.support[0])}: "
-                  f"{dec.pi[lat.index(alpha)]:.6f} bits "
+                  f"{decs[0].pi[lat.index(alpha)]:.6f} bits "
                   f"(average {avg.Pi[lat.index(alpha)]:.6f})")
         registry = {
             "xor": _xor_checks, "pwunq": _pwunq_checks, "rnd": _rnd_checks,
@@ -272,7 +258,7 @@ def cmd_example(args) -> int:
             "parity:3": _parity3_checks, "parity:4": _parity4_checks,
         }
         fn = registry.get(name, _parity_generic_checks)
-        checks = fn(d)
+        checks = fn(d, decs, avg)
     print()
     failed = 0
     for desc, ok, detail in checks:
@@ -409,7 +395,7 @@ def cmd_bench(args) -> int:
     times, average_times, report_times = [], [], []
     for d in dists:
         t0 = time.perf_counter()
-        decs = measures.decompose_support(d, lat, workers=args.workers)
+        decs = measures.decompose_support(d, lat)
         t1 = time.perf_counter()
         avg = measures.average_decomposition(d, lat, decompositions=decs)
         t2 = time.perf_counter()
@@ -426,8 +412,7 @@ def cmd_bench(args) -> int:
     timing = {"lattice_build_s": round(build_s, 6),
               "per_trial_s": [round(t, 6) for t in times],
               "average_s": [round(t, 6) for t in average_times],
-              "report_s": [round(t, 6) for t in report_times],
-              "workers": args.workers}
+              "report_s": [round(t, 6) for t in report_times]}
     print(json.dumps({"results": results, "timing": timing}, indent=2))
     return EXIT_OK
 
@@ -451,14 +436,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pointwise", action="store_true")
     p.add_argument("--nodes", action="append",
                    help="restrict output to these nodes (repeatable)")
-    p.add_argument("--workers", type=int, default=_default_workers())
     p.add_argument("--precision", type=int, default=4)
     p.set_defaults(fn=cmd_compute)
 
     p = sub.add_parser("example", help="run a builtin with its checks")
     p.add_argument("name", help="builtin name, parity:k, or vchannel")
     p.add_argument("--atom", help="print one atom, e.g. {1,2}{3,4}")
-    p.add_argument("--workers", type=int, default=_default_workers())
     p.add_argument("--precision", type=int, default=4)
     p.set_defaults(fn=cmd_example)
 
@@ -497,7 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="lattice size and decomposition timing")
     p.add_argument("n", type=int)
     p.add_argument("--trials", type=int, default=3)
-    p.add_argument("--workers", type=int, default=_default_workers())
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_bench)
     return parser

@@ -26,6 +26,7 @@ import csv
 import io
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -39,6 +40,11 @@ DEFAULT_NORMALIZATION_TOLERANCE = 1e-9
 
 #: Reports carry exact rationals only while denominators stay representable.
 MAX_EXACT_DENOMINATOR = 2**64
+
+#: Mass literals with more digits, or a larger exponent magnitude, are
+#: rejected: ``Fraction`` would build the full integer. 4,300 is Python's
+#: default int-to-string digit limit.
+MAX_MASS_DIGITS = 4300
 
 
 class DistributionError(ValueError):
@@ -128,8 +134,7 @@ class JointDistribution:
 
     Construction validates nonnegativity, normalization within
     ``normalization_tolerance``, index bounds, and uniqueness of support
-    points; zero masses are dropped. Instances are safe for concurrent
-    reads from any number of workers.
+    points; zero masses are dropped.
     """
 
     target_alphabet: Alphabet
@@ -155,12 +160,13 @@ class JointDistribution:
             if r in seen:
                 raise DistributionError(f"duplicate realization {r}")
             seen.add(r)
-        total = _sum_masses(self.masses)
-        if abs(float(total) - 1.0) > self.normalization_tolerance:
-            raise DistributionError(
-                f"masses sum to {float(total)!r}, outside tolerance "
-                f"{self.normalization_tolerance}"
-            )
+        try:
+            total = float(_sum_masses(self.masses))
+        except OverflowError:  # a rational sum beyond the float range
+            total = math.inf
+        if abs(total - 1.0) > self.normalization_tolerance:
+            raise DistributionError(f"masses sum to {total!r}, outside tolerance "
+                                    f"{self.normalization_tolerance}")
 
     @classmethod
     def from_points(cls, target_alphabet: Alphabet,
@@ -277,6 +283,15 @@ def union_event_masses(up_sets: np.ndarray, points: np.ndarray,
     return inside, sums, in_target.sum()
 
 
+def regroup(d: JointDistribution, key: Callable[[Realization], object]) -> dict:
+    """Support masses summed by ``key(r)``, keys and sums in support order."""
+    acc: dict = {}
+    for r, m in zip(d.support, d.masses):
+        k = key(r)
+        acc[k] = acc[k] + m if k in acc else m
+    return acc
+
+
 def marginal(d: JointDistribution, keep: Iterable[Union[str, int]]) -> JointDistribution:
     """Sum out everything not in ``keep``.
 
@@ -294,11 +309,8 @@ def marginal(d: JointDistribution, keep: Iterable[Union[str, int]]) -> JointDist
         if not 0 <= pos < d.n_sources:
             raise DistributionError(f"source index {pos + 1} out of range")
 
-    acc: dict[tuple[int, ...], Mass] = {}
-    for r, m in zip(d.support, d.masses):
-        key = ((r.t,) if keep_target else ()) + tuple(r.s[i] for i in src_positions)
-        acc[key] = acc.get(key, Fraction(0) if isinstance(m, Fraction) else 0.0) + m
-
+    acc = regroup(d, lambda r: ((r.t,) if keep_target else ())
+                  + tuple(r.s[i] for i in src_positions))
     kept_alphabets = ([d.target_alphabet] if keep_target else []) + \
         [d.source_alphabets[i] for i in src_positions]
     target_alphabet, *source_alphabets = kept_alphabets
@@ -315,8 +327,15 @@ def marginal(d: JointDistribution, keep: Iterable[Union[str, int]]) -> JointDist
 # ---------------------------------------------------------------------------
 
 def _parse_mass(text: str, where: str) -> Fraction:
+    text = text.strip()
+    exponent = re.search(r"[eE]([-+]?\d+(?:_\d+)*)", text)
+    if (sum(c.isdigit() for c in text) > MAX_MASS_DIGITS
+            or exponent and abs(int(exponent.group(1))) > MAX_MASS_DIGITS):
+        raise DistributionFormatError(
+            f"{where}: mass literal exceeds {MAX_MASS_DIGITS} digits or "
+            f"an exponent of magnitude {MAX_MASS_DIGITS}")
     try:
-        return Fraction(text.strip())
+        return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise DistributionFormatError(f"{where}: cannot parse mass {text!r}") from None
 
@@ -355,66 +374,69 @@ def load_distribution(source: Union[bytes, str, io.IOBase], format: str,
                       normalization_tolerance: float = DEFAULT_NORMALIZATION_TOLERANCE,
                       ) -> JointDistribution:
     """Parse a CSV or JSON distribution; errors carry row/field locations."""
-    text = _as_text(source)
-    if format == "csv":
-        return _load_csv(text, normalization_tolerance)
-    if format == "json":
-        return _load_json(text, normalization_tolerance)
-    raise DistributionFormatError(f"unknown format {format!r}")
+    reader = {"csv": _csv_rows, "json": _json_rows}.get(format)
+    if reader is None:
+        raise DistributionFormatError(f"unknown format {format!r}")
+    try:
+        return _from_rows(*reader(_as_text(source)), normalization_tolerance)
+    except DistributionError as exc:
+        raise type(exc)(f"{format} input: {exc}") from None
 
 
-def _load_csv(text: str, tol: float) -> JointDistribution:
+Row = tuple[str, str, Sequence[str], str]  # (where, t, s, p): labels and mass text
+
+
+def _from_rows(target: Alphabet, sources: tuple[Alphabet, ...],
+               rows: Iterable[Row], tol: float) -> JointDistribution:
+    seen: set[Realization] = set()
+    points = []
+    for where, t, s, p in rows:
+        mass = _parse_mass(p, f"{where}, field p")
+        if mass < 0:
+            raise DistributionFormatError(f"{where}, field p: negative mass {p}")
+        try:
+            r = Realization(t=target.index(t),
+                            s=tuple(a.index(x) for a, x in zip(sources, s)))
+        except DistributionError as exc:
+            raise DistributionFormatError(f"{where}: {exc}") from None
+        if r in seen:
+            raise DistributionFormatError(f"{where}: duplicate realization")
+        seen.add(r)
+        points.append((r, mass))
+    return JointDistribution.from_points(target, sources, points,
+                                         normalization_tolerance=tol)
+
+
+def _csv_rows(text: str) -> tuple[Alphabet, tuple[Alphabet, ...], list[Row]]:
     rows = list(csv.reader(io.StringIO(text)))
     rows = [row for row in rows if row and any(cell.strip() for cell in row)]
     if not rows:
         raise DistributionFormatError("row 1: empty input")
     header = [h.strip() for h in rows[0]]
-    if len(header) < 3 or header[0] != "t" or header[-1] != "p":
-        raise DistributionFormatError(f"row 1: header must be t,s1,...,sn,p, got {header}")
     n = len(header) - 2
-    if header[1:-1] != [f"s{i}" for i in range(1, n + 1)]:
+    if n < 1 or header != ["t", *(f"s{i}" for i in range(1, n + 1)), "p"]:
         raise DistributionFormatError(f"row 1: header must be t,s1,...,sn,p, got {header}")
 
     # Alphabets are inferred column-wise, symbols in order of first appearance.
-    t_syms: list[str] = []
-    s_syms: list[list[str]] = [[] for _ in range(n)]
-    parsed: list[tuple[str, tuple[str, ...], Fraction]] = []
+    columns: list[dict[str, None]] = [{} for _ in range(n + 1)]
+    parsed = []
     for lineno, row in enumerate(rows[1:], start=2):
         if len(row) != n + 2:
             raise DistributionFormatError(f"row {lineno}: expected {n + 2} fields, got {len(row)}")
-        t, *s, p = (cell.strip() for cell in row)
-        mass = _parse_mass(p, f"row {lineno}, field p")
-        if mass < 0:
-            raise DistributionFormatError(f"row {lineno}, field p: negative mass {p}")
-        if t not in t_syms:
-            t_syms.append(t)
-        for i, si in enumerate(s):
-            if si not in s_syms[i]:
-                s_syms[i].append(si)
-        parsed.append((t, tuple(s), mass))
-
-    target = Alphabet("t", tuple(t_syms))
-    sources = tuple(Alphabet(f"s{i + 1}", tuple(syms)) for i, syms in enumerate(s_syms))
-    seen: set[Realization] = set()
-    points = []
-    for lineno, (t, s, mass) in enumerate(parsed, start=2):
-        r = Realization(t=target.index(t), s=tuple(a.index(x) for a, x in zip(sources, s)))
-        if r in seen:
-            raise DistributionFormatError(f"row {lineno}: duplicate realization")
-        seen.add(r)
-        points.append((r, mass))
-    try:
-        return JointDistribution.from_points(target, sources, points,
-                                             normalization_tolerance=tol)
-    except DistributionError as exc:
-        raise DistributionError(f"csv input: {exc}") from None
+        *labels, p = (cell.strip() for cell in row)
+        for column, label in zip(columns, labels):
+            column.setdefault(label)
+        parsed.append((f"row {lineno}", labels[0], labels[1:], p))
+    target, *sources = (Alphabet(name, tuple(column))
+                        for name, column in zip(header, columns))
+    return target, tuple(sources), parsed
 
 
-def _load_json(text: str, tol: float) -> JointDistribution:
+def _json_rows(text: str) -> tuple[Alphabet, tuple[Alphabet, ...], list[Row]]:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise DistributionFormatError(f"json: {exc}") from None
+        raise DistributionFormatError(str(exc)) from None
 
     def alphabet(obj: Mapping, where: str) -> Alphabet:
         try:
@@ -429,29 +451,22 @@ def _load_json(text: str, tol: float) -> JointDistribution:
         entries = doc["support"]
     except (KeyError, TypeError):
         raise DistributionFormatError(
-            "json: need target_alphabet, source_alphabets, support") from None
+            "need target_alphabet, source_alphabets, support") from None
+    if not isinstance(entries, list):
+        raise DistributionFormatError("support: expected a list of points")
 
-    seen: set[Realization] = set()
-    points = []
+    rows = []
     for i, entry in enumerate(entries):
         where = f"support[{i}]"
         try:
             t, s, p = entry["t"], entry["s"], entry["p"]
         except (KeyError, TypeError):
             raise DistributionFormatError(f"{where}: need t, s, p") from None
-        if len(s) != len(sources):
-            raise DistributionFormatError(f"{where}: expected {len(sources)} sources")
-        mass = _parse_mass(str(p), f"{where}, field p")
-        if mass < 0:
-            raise DistributionFormatError(f"{where}, field p: negative mass")
-        r = Realization(t=target.index(str(t)),
-                        s=tuple(a.index(str(x)) for a, x in zip(sources, s)))
-        if r in seen:
-            raise DistributionFormatError(f"{where}: duplicate realization")
-        seen.add(r)
-        points.append((r, mass))
-    return JointDistribution.from_points(target, sources, points,
-                                         normalization_tolerance=tol)
+        if not isinstance(s, list) or len(s) != len(sources):
+            raise DistributionFormatError(
+                f"{where}: s must be a list of {len(sources)} symbols")
+        rows.append((where, str(t), [str(x) for x in s], str(p)))
+    return target, sources, rows
 
 
 def dump_csv(d: JointDistribution) -> str:

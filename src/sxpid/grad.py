@@ -27,7 +27,7 @@ c and [t_k = t_r]:
 one product and one gather per realization, with no inversion of gradient
 rows; an i-part is the same with mu(., j) replaced by the unit vector e_j.
 The route is exact at ties, where the inclusion-exclusion closed form
-(``grad_atom(path="closed")``, kept as the independent check) has no
+(``grad_atom_via_closed_form``, kept as the independent check) has no
 stable child order.
 
 Numerics. Event masses come from ``dist.union_event_masses``, one call per
@@ -100,12 +100,6 @@ def grid_from_distribution(d: JointDistribution) -> np.ndarray:
     for r, m in zip(d.support, d.masses):
         p[int(np.ravel_multi_index((r.t, *r.s), shape))] = float(m)
     return p
-
-
-def simplex_point_from_distribution(d: JointDistribution,
-                                    epsilon: float = DEFAULT_INTERIOR_MARGIN,
-                                    ) -> SimplexPoint:
-    return SimplexPoint(grid_shape(d), grid_from_distribution(d), epsilon)
 
 
 def interior_mix(d: JointDistribution, lam: float,
@@ -194,33 +188,6 @@ def _evaluate(p: np.ndarray, shape: tuple[int, ...], cells: np.ndarray, j: int,
     return (plus, d_plus) if which == "plus" else (minus, d_minus)
 
 
-def _grad_pi_closed(ev: _Events, j: int, which: str) -> np.ndarray:
-    """Closed-form-path gradient for one node (plus or minus only).
-
-    Raises ValueError when child event probabilities tie, where the
-    closed form's child order is not differentiable.
-    """
-    lat = ev.lattice
-    col = 0 if which == "plus" else 1
-    ind = (ev.inside if which == "plus" else ev.inside & ev.target).astype(float)
-    mass = ev.masses[:, col]
-    kids = lat.children_table[j]
-    if not kids:
-        g = -ind[j] / (mass[j] * _LN2)
-        return g + ev.target / (ev.p_t * _LN2) if which == "minus" else g
-    probs = [mass[c] for c in kids]
-    vals = sorted(probs)
-    if any(b - a <= TIE_TOLERANCE for a, b in zip(vals, vals[1:])):
-        raise ValueError("tied child event probabilities")
-    gamma1, d1, terms = closed_form_plan(lat, j, mass[j], probs)
-
-    g = np.zeros(ind.shape[1])
-    for sign, m in terms:
-        g += sign * ((ind[m] + ind[gamma1] - ind[j]) / (mass[m] + d1)
-                     - ind[m] / mass[m]) / _LN2
-    return g
-
-
 @dataclass(frozen=True)
 class GradientRecord:
     """Partials of one quantity w.r.t. every raw grid coordinate."""
@@ -252,28 +219,46 @@ def grad_i_sx_parts(point: SimplexPoint, r: Realization, alpha: Antichain,
 
 
 def grad_atom(point: SimplexPoint, r: Realization, alpha: Antichain,
-              which: str = "net", path: str = "auto") -> GradientRecord:
-    """Analytic gradient of an atom.
+              which: str = "net") -> GradientRecord:
+    """Analytic gradient of an atom: the agreement-basis contraction of the
+    i-part gradients over the downset (module docstring), exact at ties."""
+    _check_point(point, alpha)
+    j = enumerate_lattice(point.n_sources).index(alpha)
+    g = _evaluate(point.p, point.shape, [_cell(point.shape, r)], j, "pi", which)[1][0]
+    return GradientRecord(f"pi_{which}", alpha, r, point.shape, g)
 
-    ``path`` is "recursion" or "auto" (the agreement-basis contraction of
-    the i-part gradients over the downset, exact at ties) or "closed" (the
-    inclusion-exclusion chain rule, kept as an independent check), which
-    raises ValueError when child event probabilities tie: the ordering in
+
+def grad_atom_via_closed_form(point: SimplexPoint, r: Realization,
+                              alpha: Antichain, which: str = "net") -> GradientRecord:
+    """``grad_atom`` through the inclusion-exclusion chain rule; an
+    independent check, like ``measures.atom_via_closed_form``.
+
+    Raises ValueError when child event probabilities tie: the ordering in
     the closed form is not differentiable across a tie, the measure is.
     """
     _check_point(point, alpha)
-    if path not in ("auto", "recursion", "closed"):
-        raise ValueError(f"path must be 'auto', 'recursion' or 'closed', got {path!r}")
-    j = enumerate_lattice(point.n_sources).index(alpha)
-    if path == "closed":
-        ev = _events(point.p, point.shape, r)
-        if which == "net":
-            g = _grad_pi_closed(ev, j, "plus") - _grad_pi_closed(ev, j, "minus")
-        else:
-            g = _grad_pi_closed(ev, j, which)
+    if which == "net":
+        plus, minus = (grad_atom_via_closed_form(point, r, alpha, w).partials
+                       for w in ("plus", "minus"))
+        return GradientRecord("pi_net", alpha, r, point.shape, plus - minus)
+    ev = _events(point.p, point.shape, r)
+    lat, j = ev.lattice, ev.lattice.index(alpha)
+    ind = (ev.inside if which == "plus" else ev.inside & ev.target).astype(float)
+    mass = ev.masses[:, 0 if which == "plus" else 1]
+    kids = lat.children_table[j]
+    probs = [mass[c] for c in kids]
+    vals = sorted(probs)
+    if any(b - a <= TIE_TOLERANCE for a, b in zip(vals, vals[1:])):
+        raise ValueError("tied child event probabilities")
+    if not kids:
+        g = -ind[j] / (mass[j] * _LN2)
+        g = g + ev.target / (ev.p_t * _LN2) if which == "minus" else g
     else:
-        g = _evaluate(point.p, point.shape, [_cell(point.shape, r)], j, "pi",
-                      which)[1][0]
+        gamma1, d1, terms = closed_form_plan(lat, j, mass[j], probs)
+        g = np.zeros(ind.shape[1])
+        for sign, m in terms:
+            g += sign * ((ind[m] + ind[gamma1] - ind[j]) / (mass[m] + d1)
+                         - ind[m] / mass[m]) / _LN2
     return GradientRecord(f"pi_{which}", alpha, r, point.shape, g)
 
 

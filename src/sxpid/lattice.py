@@ -260,9 +260,6 @@ class RedundancyLattice:
             leq[a:a + 256] = (keys & ~keys[a:a + 256, None]) == 0
         return leq
 
-    def leq_idx(self, i: int, j: int) -> bool:
-        return bool(self.leq_matrix[i, j])
-
     def strict_lower(self, j: int) -> np.ndarray:
         """Indices of nodes strictly below node j (their up-sets hold j's)."""
         keys = self._up_keys
@@ -394,7 +391,7 @@ def moebius_invert(lattice: RedundancyLattice,
     """Invert cumulative node values into per-node increments.
 
     Returns pi with sum(pi[b] for b <= a) == values[a] for every node a,
-    computed bottom-up by pi[a] = values[a] - sum(pi[b] for b < a). When
+    computed by the subtraction passes of ``invert_array``. When
     ``verify_tol`` is set, the downset re-summation is checked against the
     inputs and a ValueError names the first violating node.
     """

@@ -39,7 +39,7 @@ to the identity matrix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
@@ -47,7 +47,8 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .dist import (Alphabet, CylinderEvent, DistributionError, JointDistribution,
-                   Mass, Realization, _sum_masses, marginal, union_event_masses)
+                   Mass, Realization, _sum_masses, marginal, regroup,
+                   union_event_masses)
 from .lattice import (Antichain, RedundancyLattice, _log2, _log2_all,
                       closed_form_atom_at, coalition_up_sets, enumerate_lattice,
                       invert_array)
@@ -206,8 +207,31 @@ def _row(k: int) -> cached_property:
     return cached_property(lambda self: tuple(self.block[k].tolist()))
 
 
+class _Decomposition:
+    """Lattice accessors, atom lookup and equality (equal fields and blocks)."""
+
+    @property
+    def lattice(self) -> RedundancyLattice:
+        return enumerate_lattice(self.n)
+
+    @property
+    def nodes(self) -> tuple[Antichain, ...]:
+        return self.lattice.nodes
+
+    def pi_by_name(self, name: str) -> float:
+        """The signed atom (row 5 of ``block``) at the named node."""
+        return self.block[5].item(self.lattice.index(self.lattice.node_by_name(name)))
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return (all(getattr(self, f.name) == getattr(other, f.name)
+                    for f in fields(self) if f.name != "block")
+                and np.array_equal(self.block, other.block))
+
+
 @dataclass(frozen=True, eq=False)
-class PointwiseDecomposition:
+class PointwiseDecomposition(_Decomposition):
     """Per-node values at one support realization, in canonical node order.
 
     ``block`` holds the rows ``POINTWISE_FIELDS`` (6 x N float64, read-only);
@@ -227,33 +251,9 @@ class PointwiseDecomposition:
 
     i_plus, i_minus, i, pi_plus, pi_minus, pi = map(_row, range(6))
 
-    def __eq__(self, other):
-        if not isinstance(other, PointwiseDecomposition):
-            return NotImplemented
-        return ((self.realization, self.weight, self.n, self.exact_i_plus,
-                 self.exact_i_minus, self.exact_pi_plus, self.exact_pi_minus)
-                == (other.realization, other.weight, other.n, other.exact_i_plus,
-                    other.exact_i_minus, other.exact_pi_plus, other.exact_pi_minus)
-                and np.array_equal(self.block, other.block))
-
-    @property
-    def lattice(self) -> RedundancyLattice:
-        return enumerate_lattice(self.n)
-
-    @property
-    def nodes(self) -> tuple[Antichain, ...]:
-        return self.lattice.nodes
-
-    def node_values(self, alpha: Antichain) -> dict[str, float]:
-        j = self.lattice.index(alpha)
-        return dict(zip(POINTWISE_FIELDS, self.block[:, j].tolist()))
-
-    def pi_by_name(self, name: str) -> float:
-        return self.pi[self.lattice.index(self.lattice.node_by_name(name))]
-
 
 @dataclass(frozen=True, eq=False)
-class AverageDecomposition:
+class AverageDecomposition(_Decomposition):
     """Support-weighted averages of the pointwise fields, per node.
 
     ``block`` holds the rows ``AVERAGE_FIELDS`` (6 x N float64, read-only);
@@ -264,26 +264,6 @@ class AverageDecomposition:
     block: np.ndarray
 
     I_plus, I_minus, I, Pi_plus, Pi_minus, Pi = map(_row, range(6))
-
-    def __eq__(self, other):
-        if not isinstance(other, AverageDecomposition):
-            return NotImplemented
-        return self.n == other.n and np.array_equal(self.block, other.block)
-
-    @property
-    def lattice(self) -> RedundancyLattice:
-        return enumerate_lattice(self.n)
-
-    @property
-    def nodes(self) -> tuple[Antichain, ...]:
-        return self.lattice.nodes
-
-    def node_values(self, alpha: Antichain) -> dict[str, float]:
-        j = self.lattice.index(alpha)
-        return dict(zip(AVERAGE_FIELDS, self.block[:, j].tolist()))
-
-    def pi_by_name(self, name: str) -> float:
-        return self.Pi[self.lattice.index(self.lattice.node_by_name(name))]
 
 
 def _exact_atoms(lattice: RedundancyLattice,
@@ -340,12 +320,11 @@ def decompose_support(d: JointDistribution,
 
 def average_decomposition(d: JointDistribution,
                           lattice: RedundancyLattice | None = None,
-                          workers: int = 1,
                           decompositions: Sequence[PointwiseDecomposition] | None = None,
                           ) -> AverageDecomposition:
     """Mass-weighted averages over the support (zero-mass outcomes carry
     no weight and are never evaluated)."""
-    decs = decompositions or decompose_support(d, lattice, workers)
+    decs = decompositions or decompose_support(d, lattice)
     weights = np.array([float(dec.weight) for dec in decs])
     # the products are those of a per-term fsum, so each sum is the
     # correctly rounded one
@@ -521,10 +500,7 @@ def coarsen_target(d: JointDistribution, group_of: Sequence[int],
     if group_labels is None:
         group_labels = [str(g) for g in groups]
     remap = {g: i for i, g in enumerate(groups)}
-    acc: dict[Realization, Mass] = {}
-    for r, m in zip(d.support, d.masses):
-        key = Realization(t=remap[group_of[r.t]], s=r.s)
-        acc[key] = acc.get(key, 0) + m
+    acc = regroup(d, lambda r: Realization(t=remap[group_of[r.t]], s=r.s))
     target = Alphabet(d.target_alphabet.name, tuple(group_labels))
     return JointDistribution.from_points(target, d.source_alphabets, acc.items(),
                                          normalization_tolerance=d.normalization_tolerance)
@@ -571,9 +547,7 @@ def target_chain_terms(d: JointDistribution, r: Realization, alpha: Antichain,
 
 def joint_source_distribution(d: JointDistribution) -> JointDistribution:
     """Composite-target distribution: the target is the full source tuple."""
-    acc: dict[tuple[int, ...], Mass] = {}
-    for r, m in zip(d.support, d.masses):
-        acc[r.s] = acc.get(r.s, 0) + m
+    acc = regroup(d, lambda r: r.s)
     combos = sorted(acc)
     labels = tuple(
         ",".join(a.label(si) for a, si in zip(d.source_alphabets, combo))
@@ -585,14 +559,12 @@ def joint_source_distribution(d: JointDistribution) -> JointDistribution:
                                          normalization_tolerance=d.normalization_tolerance)
 
 
-def entropy_decomposition(d: JointDistribution,
-                          workers: int = 1) -> AverageDecomposition:
+def entropy_decomposition(d: JointDistribution) -> AverageDecomposition:
     """Entropy atoms: decompose the self-information of the source tuple.
 
     The average at the full coalition equals the joint source entropy.
     """
-    composite = joint_source_distribution(d)
-    return average_decomposition(composite, workers=workers)
+    return average_decomposition(joint_source_distribution(d))
 
 
 # ---------------------------------------------------------------------------

@@ -328,8 +328,8 @@ def test_criterion_09_gradient_battery():
                         lambda p: G.pointwise_value(p, shape, r, alpha,
                                                     "i", which), pt.p)
                     assert G.fd_mismatch(rec.partials, fd) <= 1.0
-                    arec = G.grad_atom(pt, r, alpha, which, path="closed")
-                    rrec = G.grad_atom(pt, r, alpha, which, path="recursion")
+                    arec = G.grad_atom_via_closed_form(pt, r, alpha, which)
+                    rrec = G.grad_atom(pt, r, alpha, which)
                     assert np.max(np.abs(arec.partials - rrec.partials)) <= 1e-9
                     fd = G.central_difference(
                         lambda p: G.pointwise_value(p, shape, r, alpha,

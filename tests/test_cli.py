@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -109,12 +110,41 @@ def test_validation_exit_code(tmp_path, capsys):
     assert cli.main(["compute", "xor", "--nodes", "{7}"]) == 2
 
 
+@pytest.mark.parametrize("name, text, where", [
+    ("bad.json", '{"target_alphabet": {"name": "t", "symbols": ["0"]}, '
+                 '"source_alphabets": [{"name": "s1", "symbols": ["0"]}], '
+                 '"support": [{"t": "0", "s": 5, "p": "1"}]}', "support[0]"),
+    ("huge.csv", "t,s1,p\n0,0,1e999999999\n", "row 2, field p"),
+    ("tiny.csv", "t,s1,p\n0,0,1e-999999999\n", "row 2, field p"),
+])
+def test_hostile_input_exits_2_quickly(tmp_path, capsys, name, text, where):
+    f = tmp_path / name
+    f.write_text(text)
+    start = time.perf_counter()
+    code = cli.main(["compute", str(f)])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert where in captured.err and elapsed < 1.0
+
+
+def test_workers_environment_is_ignored(monkeypatch, capsys):
+    monkeypatch.setenv("SXPID_WORKERS", "junk")
+    assert run(capsys, "lattice", "2")[0] == 0
+    assert run(capsys, "compute", "xor")[0] == 0
+
+
+def test_package_exports_resolve():
+    import sxpid
+    assert [name for name in sxpid.__all__ if not hasattr(sxpid, name)] == []
+
+
 def test_example_pass_and_fail(capsys, monkeypatch):
     assert cli.main(["example", "xor"]) == 0
     capsys.readouterr()
     monkeypatch.setitem(
         cli.__dict__, "_xor_checks",
-        lambda d: [("forced failure", False, "injected")])
+        lambda d, decs, avg: [("forced failure", False, "injected")])
     code = cli.main(["example", "xor"])
     out = capsys.readouterr().out
     assert code == 3 and "FAIL" in out
@@ -236,31 +266,13 @@ def test_bad_count_options_exit_2(capsys, argv, message):
 def test_bench_deterministic_results(capsys):
     code, out1 = run(capsys, "bench", "2", "--trials", "2", "--seed", "5")
     assert code == 0
-    _, out2 = run(capsys, "bench", "2", "--trials", "2", "--seed", "5",
-                  "--workers", "2")
+    _, out2 = run(capsys, "bench", "2", "--trials", "2", "--seed", "5")
     r1, r2 = json.loads(out1)["results"], json.loads(out2)["results"]
     assert r1 == r2
     assert r1["atoms"] == 4 and len(r1["digests"]) == 2
     timing = json.loads(out1)["timing"]
     for key in ("per_trial_s", "average_s", "report_s"):
         assert len(timing[key]) == 2 and all(t >= 0 for t in timing[key])
-
-
-def test_workers_env_default(monkeypatch):
-    monkeypatch.setenv("SXPID_WORKERS", "3")
-    assert cli._default_workers() == 3
-    monkeypatch.setenv("SXPID_WORKERS", "junk")
-    with pytest.raises(ValueError, match="SXPID_WORKERS.*'junk'"):
-        cli._default_workers()
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "-1", "2.5", ""])
-def test_invalid_workers_env_exits_2(monkeypatch, capsys, value):
-    monkeypatch.setenv("SXPID_WORKERS", value)
-    assert cli.main(["compute", "xor"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert f"SXPID_WORKERS must be a positive integer, got {value!r}" in captured.err
 
 
 def test_builtins_are_exact_rationals():

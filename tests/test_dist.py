@@ -1,4 +1,5 @@
 import io
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -76,8 +77,106 @@ def test_json_symbol_outside_alphabet():
       "source_alphabets": [{"name": "s1", "symbols": ["0", "1"]}],
       "support": [{"t": "0", "s": ["2"], "p": "1"}]
     }"""
-    with pytest.raises(DistributionError, match="not in alphabet"):
+    with pytest.raises(DistributionFormatError,
+                       match=r"^json input: support\[0\]: symbol '2' not in alphabet"):
         load_distribution(doc, "json")
+
+
+JSON_XOR = {
+    "target_alphabet": {"name": "t", "symbols": ["0", "1"]},
+    "source_alphabets": [{"name": "s1", "symbols": ["0", "1"]},
+                         {"name": "s2", "symbols": ["0", "1"]}],
+    "support": [{"t": t, "s": [a, b], "p": "0.25"}
+                for t, a, b in ("000", "101", "110", "011")],
+}
+
+
+def xor_json(**changes) -> str:
+    doc = json.loads(json.dumps(JSON_XOR))
+    doc.update(changes)
+    return json.dumps(doc)
+
+
+def json_entries(*entries) -> str:
+    return xor_json(support=JSON_XOR["support"][:2] + list(entries))
+
+
+@pytest.mark.parametrize("text, where", [
+    (xor_json(support=5), "support"),
+    (xor_json(support={"t": "0"}), "support"),
+    (json_entries({"t": "0", "s": 5, "p": "0.5"}), r"support\[2\]"),
+    (json_entries({"t": "0", "s": "00", "p": "0.5"}), r"support\[2\]"),
+    (json_entries({"t": "0", "s": ["0"], "p": "0.5"}), r"support\[2\]"),
+    (json_entries(5), r"support\[2\]"),
+    (xor_json(source_alphabets=5), "source_alphabets"),
+    ("[]", "target_alphabet"),
+])
+def test_json_wrong_shapes_name_their_location(text, where):
+    with pytest.raises(DistributionFormatError, match=f"^json input: .*{where}"):
+        load_distribution(text, "json")
+
+
+def _csv_with(p: str, extra: str = "") -> str:
+    return f"t,s1,s2,p\n0,0,0,0.25\n1,0,1,0.25\n1,1,0,{p}\n{extra}"
+
+
+def _json_with(p: str, extra: dict | None = None) -> str:
+    entries = JSON_XOR["support"][:2] + [{"t": "1", "s": ["1", "0"], "p": p}]
+    return xor_json(support=entries + ([extra] if extra else []))
+
+
+DUPLICATE_ROW = {"t": "1", "s": ["0", "1"], "p": "0.25"}
+
+
+def _both(p: str, csv_extra: str = "", json_extra: dict | None = None) -> dict:
+    return {"csv": _csv_with(p, csv_extra), "json": _json_with(p, json_extra)}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("docs, error, message", [
+    (_both("oops"), DistributionFormatError, "{0}, field p: cannot parse mass 'oops'"),
+    (_both("-0.5"), DistributionFormatError, "{0}, field p: negative mass -0.5"),
+    (_both("0.25", "1,0,1,0.25\n", DUPLICATE_ROW), DistributionFormatError,
+     "{1}: duplicate realization"),
+    (_both("0.25"), DistributionError, "masses sum to 0.75, outside tolerance 1e-09"),
+], ids=["bad-mass", "negative-mass", "duplicate", "sum"])
+def test_csv_and_json_report_the_same_fault(fmt, docs, error, message):
+    # the third point is CSV row 4 (the header is row 1) and JSON support[2]
+    where = {"csv": ("row 4", "row 5"), "json": ("support[2]", "support[3]")}[fmt]
+    with pytest.raises(error) as info:
+        load_distribution(docs[fmt], fmt)
+    assert type(info.value) is error
+    assert str(info.value) == f"{fmt} input: " + message.format(*where)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("literal", [
+    "1e999999999", "1e-999999999", "1E+4301", "1" * 4301, "0." + "0" * 4300 + "1",
+    "1/" + "3" * 4301, "1e" + "9" * 5000])
+def test_oversized_mass_literals_rejected(fmt, literal):
+    doc = _csv_with(literal) if fmt == "csv" else _json_with(literal)
+    where = "row 4, field p" if fmt == "csv" else r"support\[2\], field p"
+    with pytest.raises(DistributionFormatError,
+                       match=f"^{fmt} input: {where}: mass literal exceeds 4300"):
+        load_distribution(doc, fmt)
+
+
+def test_mass_literals_at_the_bound_parse():
+    assert load_distribution("t,s1,p\n0,0,1e-4300\n1,1,1\n", "csv").masses[0] \
+        == Fraction(1, 10**4300)
+    assert load_distribution("t,s1,p\n0,0,1_0e-1\n", "csv").masses == (1,)
+    with pytest.raises(DistributionError, match="masses sum to inf"):
+        load_distribution("t,s1,p\n0,0,1e4300\n", "csv")
+
+
+@pytest.mark.parametrize("name", ["pwunq", "rnd", "rnderr", "xor", "xorduplicate",
+                                  "parity:1", "parity:2", "parity:3", "parity:4",
+                                  "parity:5"])
+def test_builtins_reload_from_both_dumps(name):
+    d = builtin_distribution(name)
+    assert d.exact
+    assert load_distribution(dump_csv(d), "csv") == d
+    assert load_distribution(dump_json(d), "json") == d
 
 
 def test_zero_mass_rows_dropped():

@@ -25,7 +25,7 @@ def a_of(n, *colls):
 
 def test_simplex_point_validation():
     with pytest.raises(BoundaryError):
-        G.simplex_point_from_distribution(xor_distribution())
+        G.interior_mix(xor_distribution(), 0.0)
     p = soft_xor_point()
     assert p.p.min() >= p.epsilon
     assert p.p.sum() == pytest.approx(1.0, abs=1e-12)
@@ -85,8 +85,8 @@ def test_grad_atom_matches_fd_and_dual_path():
             r = Realization(t=1, s=(0,) * n)
             for alpha in (lat.bottom, lat.nodes[2], lat.top):
                 for which in ("plus", "minus", "net"):
-                    rec = G.grad_atom(pt, r, alpha, which, path="closed")
-                    rrec = G.grad_atom(pt, r, alpha, which, path="recursion")
+                    rec = G.grad_atom_via_closed_form(pt, r, alpha, which)
+                    rrec = G.grad_atom(pt, r, alpha, which)
                     assert np.max(np.abs(rec.partials - rrec.partials)) <= 1e-9
                     fd = G.central_difference(
                         lambda p: G.pointwise_value(p, pt.shape, r, alpha,
@@ -113,12 +113,11 @@ def test_tie_auto_equals_recursion_without_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rec = G.grad_atom(pt, r, lat.top, "plus")
-    rrec = G.grad_atom(pt, r, lat.top, "plus", path="recursion")
-    assert np.array_equal(rec.partials, rrec.partials)
+    fd = G.central_difference(
+        lambda p: G.pointwise_value(p, pt.shape, r, lat.top, "pi", "plus"), pt.p)
+    assert G.fd_mismatch(rec.partials, fd) <= 1.0
     with pytest.raises(ValueError, match="tied"):
-        G.grad_atom(pt, r, lat.top, "plus", path="closed")
-    with pytest.raises(ValueError, match="'closd'"):
-        G.grad_atom(pt, r, lat.top, "plus", path="closd")
+        G.grad_atom_via_closed_form(pt, r, lat.top, "plus")
 
 
 def test_grad_average_matches_fd():
@@ -228,7 +227,7 @@ def test_gradients_match_per_realization_reference():
                     got = G.grad_average(pt, alpha, which).partials
                     assert np.max(np.abs(got - want)) <= 1e-13
                 for r, ref in refs.values():
-                    got = G.grad_atom(pt, r, alpha, which, path="recursion").partials
+                    got = G.grad_atom(pt, r, alpha, which).partials
                     assert np.max(np.abs(got - ref["pi", which][1][j])) <= 1e-13
                     got = G.grad_i_sx_parts(pt, r, alpha, which).partials
                     assert np.max(np.abs(got - ref["i", which][1][j])) <= 1e-13

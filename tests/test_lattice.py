@@ -187,9 +187,10 @@ def test_children_structure():
     assert kids == {"{1,2}", "{1,3}", "{2,3}"}
     # every cover edge is a strict relation with nothing in between
     for c, p in lat3.cover_edges():
-        assert lat3.leq_idx(c, p) and c != p
+        leq = lat3.leq_matrix
+        assert leq[c, p] and c != p
         between = [k for k in range(len(lat3))
-                   if k not in (c, p) and lat3.leq_idx(c, k) and lat3.leq_idx(k, p)]
+                   if k not in (c, p) and leq[c, k] and leq[k, p]]
         assert between == []
 
 
@@ -307,7 +308,7 @@ def test_no_production_path_reads_leq_matrix(monkeypatch):
                                verify_tol=1e-9)
         point = grad.interior_mix(d, 0.1)
         grad.optimize_atom(point, lat.top, steps=2)
-        grad.grad_atom(point, r, lat.top, path="closed")
+        grad.grad_atom_via_closed_form(point, r, lat.top)
 
 
 # ---------------------------------------------------------------------------
