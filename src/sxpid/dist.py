@@ -5,13 +5,13 @@ Probabilities of compound events (unions/intersections of cylinder events)
 are sums of the masses of the points inside them, never inclusion-exclusion
 over floats, so no cancellation error can reach the logarithms taken
 downstream. ``union_event_masses`` is the event-mass kernel behind every
-decomposition and gradient: it marks the points inside many unions of
-coalition events at once and sums their masses with one matrix product.
-Exact masses enter it as integer numerators (``mass_array``), so their sums
-are exact; float sums are matrix products, which are not correctly rounded:
-a sum of K positive masses may be off by up to about K units in the last
-place. ``event_probability`` and ``mass_where`` scan the support with
-Python predicates and serve as the independent check.
+decomposition and gradient, for many realizations at once: it adds the
+masses in point order into one bin per agreement mask, then each union sums
+its bins in one 2^n-term product per realization. Exact masses enter it as
+integer numerators (``mass_array``), so their sums are exact; float sums
+are not correctly rounded (off by up to about K + 2^n units in the last
+place for K masses). ``event_probability`` and ``mass_where`` scan the
+support with Python predicates and serve as the independent check.
 
 Masses are kept as `fractions.Fraction` whenever they were given exactly
 (file input, builtin generators) and as floats otherwise. Zero-mass
@@ -132,9 +132,9 @@ def _sum_masses(masses: Iterable[Mass]) -> Mass:
 class JointDistribution:
     """Validated joint pmf over target x sources, immutable after build.
 
-    Construction validates nonnegativity, normalization within
-    ``normalization_tolerance``, index bounds, and uniqueness of support
-    points; zero masses are dropped.
+    Construction validates the tolerance (a number >= 0), nonnegativity,
+    normalization within ``normalization_tolerance``, index bounds, and
+    uniqueness of support points; zero masses are dropped.
     """
 
     target_alphabet: Alphabet
@@ -144,6 +144,9 @@ class JointDistribution:
     normalization_tolerance: float = DEFAULT_NORMALIZATION_TOLERANCE
 
     def __post_init__(self):
+        if not self.normalization_tolerance >= 0:  # NaN fails this too
+            raise DistributionError("normalization tolerance must be >= 0, got "
+                                    f"{self.normalization_tolerance}")
         seen = set()
         for r, m in zip(self.support, self.masses):
             if m != m:
@@ -260,27 +263,29 @@ def event_probability(d: JointDistribution, events: Sequence[CylinderEvent],
 
 
 def union_event_masses(up_sets: np.ndarray, points: np.ndarray,
-                       masses: np.ndarray, r: Realization,
-                       ) -> tuple[np.ndarray, np.ndarray, object]:
-    """Masses of unions of coalition events at realization r.
+                       masses: np.ndarray, at: np.ndarray,
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Masses of unions of coalition events at each realization row of ``at``.
 
-    ``points`` holds rows (t, s_1, ..., s_n) of symbol indices and
-    ``masses`` their masses (float, int64 or Python-int object array).
-    Row u of ``up_sets`` marks the coalition masks whose events lie inside
-    union u (``lattice.coalition_up_sets``). A point lies inside union u
-    iff the mask of the sources on which it agrees with r.s is marked, so
-    the incidence of every union is one column gather.
+    ``points`` and the R rows of ``at`` are rows (t, s_1, ..., s_n) of
+    symbol indices; ``masses`` holds the points' masses (float, int64 or
+    Python-int object array). Row u of ``up_sets`` marks the agreement masks
+    (the sources on which a point agrees with the realization) of the points
+    inside union u (``lattice.coalition_up_sets``), so a union's mass is a
+    sum of mask bins, and no realization's sums depend on the others.
 
-    Returns ``(inside, sums, p_t)``: ``inside[u, k]`` says whether point k
-    lies in union u, ``sums[u]`` is (mass of union u, mass of union u
-    within the target event T = r.t), both from one product, and ``p_t``
-    is the mass of the target event.
+    Returns ``(agree, sums, p_t)``: ``agree[r, k]`` is point k's mask at
+    realization r, ``sums[r, u]`` is (mass of union u, mass of union u within
+    the target event T = t_r) and ``p_t[r]`` is the mass of T.
     """
-    agree = (points[:, 1:] == r.s) @ (1 << np.arange(len(r.s)))
-    inside = up_sets[:, agree]
-    in_target = np.where(points[:, 0] == r.t, masses, 0)
-    sums = inside.astype(masses.dtype) @ np.array([masses, in_target]).T
-    return inside, sums, in_target.sum()
+    agree = (points[None, :, 1:] == at[:, None, 1:]) @ (1 << np.arange(at.shape[1] - 1))
+    in_target = np.where(points[None, :, 0] == at[:, None, 0], masses, 0)
+    hist = np.zeros((len(at), up_sets.shape[1], 2), dtype=masses.dtype)
+    rows = np.arange(len(at))[:, None]
+    np.add.at(hist[..., 0], (rows, agree), masses)
+    np.add.at(hist[..., 1], (rows, agree), in_target)
+    sums = np.matmul(up_sets.astype(masses.dtype), hist)
+    return agree, sums, in_target.sum(axis=1)
 
 
 def regroup(d: JointDistribution, key: Callable[[Realization], object]) -> dict:

@@ -30,9 +30,11 @@ The route is exact at ties, where the inclusion-exclusion closed form
 (``grad_atom_via_closed_form``, kept as the independent check) has no
 stable child order.
 
-Numerics. Event masses come from ``dist.union_event_masses``, one call per
-realization over the grid cells, and all realizations' i-parts are
-inverted by one ``invert_array`` call; columns invert independently, so
+Numerics. Event masses come from one ``dist.union_event_masses`` call
+for all realizations of an evaluation (cell masses binned by agreement
+mask in grid order, one 2^n-term product per realization; its masks are
+the gather indices above), and all their i-parts are inverted by one
+``invert_array`` call; realizations and columns are independent, so
 values are bit for bit those of one realization at a time, and averages
 are summed sequentially in grid order. Gradients are contracted in the
 agreement basis, so they differ from inverting the gradient rows in the
@@ -44,14 +46,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .dist import JointDistribution, Realization, union_event_masses
-from .lattice import (Antichain, BoundaryError, RedundancyLattice,
-                      closed_form_plan, enumerate_lattice, invert_array,
-                      moebius_row)
+from .lattice import (Antichain, BoundaryError, closed_form_plan,
+                      enumerate_lattice, invert_array, moebius_row)
 
 _LN2 = math.log(2.0)
 
@@ -123,28 +124,23 @@ def _grid_points(shape: tuple[int, ...]) -> np.ndarray:
     return np.indices(shape).reshape(len(shape), -1).T
 
 
-class _Events(NamedTuple):
-    """The kernel's output at one realization, over the grid cells.
-
-    ``inside[j]`` marks the cells of node j's union event and ``target``
-    those of the target symbol; ``masses[j]`` is (P(E_j), P(t & E_j)) and
-    ``p_t`` is P(t), all under the raw coordinates.
-    """
-
-    lattice: RedundancyLattice
-    inside: np.ndarray
-    target: np.ndarray
-    masses: np.ndarray
-    p_t: float
-
-
-def _events(p: np.ndarray, shape: tuple[int, ...], r: Realization) -> _Events:
+def _event_masses(p: np.ndarray, shape: tuple[int, ...], real: np.ndarray,
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The kernel's output at the realization rows ``real`` over the grid
+    cells, under the raw coordinates; every event must have positive mass."""
     lat = enumerate_lattice(len(shape) - 1)
-    points = _grid_points(shape)
-    inside, masses, p_t = union_event_masses(lat.up_sets, points, p, r)
-    if masses.min() <= 0:
-        raise BoundaryError(f"an event at {r} has nonpositive mass")
-    return _Events(lat, inside, points[:, 0] == r.t, masses, float(p_t))
+    agree, sums, p_t = union_event_masses(lat.up_sets, _grid_points(shape), p, real)
+    bad = (sums <= 0).any(axis=(1, 2))
+    if bad.any():
+        t, *s = real[bad.argmax()].tolist()
+        raise BoundaryError(f"an event at {Realization(t, tuple(s))} has "
+                            "nonpositive mass")
+    return agree, sums, p_t
+
+
+def _check_which(which: str) -> None:
+    if which not in ("plus", "minus", "net"):
+        raise ValueError(f"which must be 'plus', 'minus' or 'net', got {which!r}")
 
 
 def _cell(shape: tuple[int, ...], r: Realization) -> int:
@@ -163,21 +159,19 @@ def _evaluate(p: np.ndarray, shape: tuple[int, ...], cells: np.ndarray, j: int,
     Returns ``(values, rows)``: values[r] at the realization on cells[r],
     and rows[r, k], its partial with respect to raw coordinate k.
     """
+    _check_which(which)
     lat = enumerate_lattice(len(shape) - 1)
     points = _grid_points(shape)
     real = points[cells]
-    evs = [_events(p, shape, Realization(t=c[0], s=tuple(c[1:])))
-           for c in real.tolist()]
-    p_e, p_te = np.stack([ev.masses for ev in evs], axis=2).transpose(1, 0, 2)
-    p_t = np.array([ev.p_t for ev in evs])
-    log_p_t = np.array([math.log2(x) for x in p_t])
+    agree, sums, p_t = _event_masses(p, shape, real)
+    p_e, p_te = sums.transpose(2, 1, 0)
+    log_p_t = np.array([math.log2(x) for x in p_t.tolist()])
     parts = np.concatenate([-np.log2(p_e), log_p_t - np.log2(p_te)], axis=1)
     if quantity == "pi":
         parts = invert_array(lat, parts)
     w = moebius_row(lat, j) if quantity == "pi" else np.eye(1, len(lat), j)[0]
 
     up = lat.up_sets.astype(float)
-    agree = (points[None, :, 1:] == real[:, None, 1:]) @ (1 << np.arange(len(shape) - 1))
     rr = np.arange(len(cells))[:, None]
     d_plus = (-(w[:, None] / p_e).T @ up / _LN2)[rr, agree]
     w_minus = -(w[:, None] / p_te).T @ up / _LN2 + (w.sum() / (p_t * _LN2))[:, None]
@@ -237,14 +231,19 @@ def grad_atom_via_closed_form(point: SimplexPoint, r: Realization,
     the closed form is not differentiable across a tie, the measure is.
     """
     _check_point(point, alpha)
+    _check_which(which)
     if which == "net":
         plus, minus = (grad_atom_via_closed_form(point, r, alpha, w).partials
                        for w in ("plus", "minus"))
         return GradientRecord("pi_net", alpha, r, point.shape, plus - minus)
-    ev = _events(point.p, point.shape, r)
-    lat, j = ev.lattice, ev.lattice.index(alpha)
-    ind = (ev.inside if which == "plus" else ev.inside & ev.target).astype(float)
-    mass = ev.masses[:, 0 if which == "plus" else 1]
+    lat = enumerate_lattice(point.n_sources)
+    j = lat.index(alpha)
+    agree, (sums,), (p_t,) = _event_masses(point.p, point.shape,
+                                            np.array([(r.t, *r.s)]))
+    target = _grid_points(point.shape)[:, 0] == r.t
+    ind = lat.up_sets[:, agree[0]]
+    ind = (ind if which == "plus" else ind & target).astype(float)
+    mass = sums[:, 0 if which == "plus" else 1]
     kids = lat.children_table[j]
     probs = [mass[c] for c in kids]
     vals = sorted(probs)
@@ -252,7 +251,7 @@ def grad_atom_via_closed_form(point: SimplexPoint, r: Realization,
         raise ValueError("tied child event probabilities")
     if not kids:
         g = -ind[j] / (mass[j] * _LN2)
-        g = g + ev.target / (ev.p_t * _LN2) if which == "minus" else g
+        g = g + target / (p_t * _LN2) if which == "minus" else g
     else:
         gamma1, d1, terms = closed_form_plan(lat, j, mass[j], probs)
         g = np.zeros(ind.shape[1])

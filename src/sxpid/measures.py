@@ -12,8 +12,9 @@ E_alpha and of its intersection with the target event:
 Both probabilities come from the event-mass kernel
 ``dist.union_event_masses``, one call per realization for a whole table
 of unions (``node_event_probabilities`` for the lattice). Exact masses are
-summed as integer numerators, so they stay exact; float masses are summed
-by a matrix product, which is not correctly rounded. The support scan of
+summed as integer numerators, so they stay exact; float masses are binned
+by agreement mask in support order, and each union sums its bins in one
+product, which is not correctly rounded. The support scan of
 ``dist.event_probability`` remains as the independent check, used here by
 ``self_shared`` and the statement channel.
 
@@ -68,11 +69,12 @@ def _union_masses(d: JointDistribution, r: Realization, up_sets: np.ndarray,
     if d.mass(r) == 0:
         raise DistributionError(f"realization {r} not in support")
     masses, den = d.mass_array
-    _, sums, p_t = union_event_masses(up_sets, d.support_array, masses, r)
+    _, sums, p_t = union_event_masses(up_sets, d.support_array, masses,
+                                      np.array([(r.t, *r.s)]))
     if den is None:
-        return sums[:, 0].tolist(), sums[:, 1].tolist(), float(p_t)
+        return sums[0, :, 0].tolist(), sums[0, :, 1].tolist(), float(p_t[0])
     exact = [Fraction(int(x), den) for x in sums.ravel()]
-    return exact[0::2], exact[1::2], Fraction(int(p_t), den)
+    return exact[0::2], exact[1::2], Fraction(int(p_t[0]), den)
 
 
 def _coalition_mask(d: JointDistribution, coalition: Iterable[int]) -> int:
@@ -464,8 +466,8 @@ def child_meet_mass_identity_max_dev(d: JointDistribution,
     j, g, mb, mbg = np.array(_child_meet_plan(lat), dtype=np.intp).reshape(-1, 4).T
     masses, den = d.mass_array
     worst = 0.0
-    for r in d.support:
-        _, sums, _ = union_event_masses(lat.up_sets, d.support_array, masses, r)
+    for at in d.support_array[:, None]:
+        _, (sums,), _ = union_event_masses(lat.up_sets, d.support_array, masses, at)
         dev = np.abs(sums[mbg] - (sums[mb] + sums[g] - sums[j]))
         worst = max(worst, float(dev.max(initial=0)) / (den or 1))
     return worst

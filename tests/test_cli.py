@@ -110,6 +110,16 @@ def test_validation_exit_code(tmp_path, capsys):
     assert cli.main(["compute", "xor", "--nodes", "{7}"]) == 2
 
 
+@pytest.mark.parametrize("tolerance", ["nan", "-1"])
+def test_nan_or_negative_tolerance_exits_2(tmp_path, capsys, tolerance):
+    f = tmp_path / "heavy.csv"
+    f.write_text("t,s1,p\n0,0,5\n1,1,3\n")  # sums to 8
+    assert cli.main(["compute", str(f), "--tolerance", tolerance]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"tolerance must be >= 0, got {float(tolerance)}" in captured.err
+
+
 @pytest.mark.parametrize("name, text, where", [
     ("bad.json", '{"target_alphabet": {"name": "t", "symbols": ["0"]}, '
                  '"source_alphabets": [{"name": "s1", "symbols": ["0"]}], '

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +13,8 @@ from sxpid.builtins import builtin_distribution
 from sxpid.dist import (Alphabet, CylinderEvent, DistributionError,
                         DistributionFormatError, JointDistribution, Realization,
                         dump_csv, dump_json, event_probability,
-                        load_distribution, marginal)
+                        load_distribution, marginal, union_event_masses)
+from sxpid.lattice import enumerate_lattice
 
 XOR_CSV = "t,s1,s2,p\n0,0,0,0.25\n1,0,1,0.25\n1,1,0,0.25\n0,1,1,0.25\n"
 
@@ -50,6 +52,17 @@ def test_nan_mass_rejected():
               (Realization(1, (0,)), 0.5)]
     with pytest.raises(DistributionError, match=r"Realization\(t=1, s=\(1,\)\).*not a number"):
         JointDistribution.from_points(t, [s1], points)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, -math.inf])
+def test_nan_or_negative_tolerance_rejected(tol):
+    # a NaN tolerance would accept any total, a negative one reject every total
+    with pytest.raises(DistributionError, match=r"tolerance must be >= 0, got"):
+        load_distribution(XOR_CSV, "csv", normalization_tolerance=tol)
+    with pytest.raises(DistributionError, match=r"tolerance must be >= 0, got"):
+        JointDistribution.from_points(bits("t"), [bits("s1")],
+                                      [(Realization(0, (0,)), 1.0)], tol)
+    assert load_distribution(XOR_CSV, "csv", normalization_tolerance=0.0).exact
 
 
 def test_normalization_error_csv():
@@ -337,3 +350,23 @@ def test_mass_where_predicate():
     d = xor_dist()
     assert d.mass_where(lambda r: r.t == 0) == Fraction(1, 2)
     assert d.mass_where(lambda r: False) == 0
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_event_masses_do_not_depend_on_the_batch(n):
+    # every realization's masses are one product of its own 2^n bins, so
+    # running the support rows in chunks of 1 or 7 gives the same bits
+    rng = np.random.default_rng(40 + n)
+    grid = np.indices((2,) + (3,) * n).reshape(n + 1, -1).T
+    points = grid[rng.choice(len(grid), size=16, replace=False)]
+    ints = rng.integers(1, 10**6, size=len(points))
+    up_sets = enumerate_lattice(n).up_sets
+    for masses in (ints / ints.sum(), ints,
+                   np.array([int(m) * 3**40 for m in ints], dtype=object)):
+        whole = union_event_masses(up_sets, points, masses, points)
+        assert whole[1].dtype == masses.dtype
+        for size in (1, 7):
+            chunks = [union_event_masses(up_sets, points, masses, points[i:i + size])
+                      for i in range(0, len(points), size)]
+            for got, want in zip(zip(*chunks), whole):
+                assert np.array_equal(np.concatenate(got), want)

@@ -153,7 +153,8 @@ def _reference(p, shape, k):
     lat = enumerate_lattice(len(shape) - 1)
     points = np.indices(shape).reshape(len(shape), -1).T
     r = Realization(t=int(points[k, 0]), s=tuple(points[k, 1:].tolist()))
-    inside, m, p_t = union_event_masses(lat.up_sets, points, p, r)
+    agree, (m,), (p_t,) = union_event_masses(lat.up_sets, points, p, points[[k]])
+    inside = lat.up_sets[:, agree[0]]
     p_t = float(p_t)
     target = points[:, 0] == r.t
     i = np.stack([-np.log2(m[:, 0]), math.log2(p_t) - np.log2(m[:, 1])], axis=1)
@@ -326,3 +327,49 @@ def test_mechanism_validation():
     with pytest.raises(ValueError, match="source pmf coordinate 2 is NaN"):
         G.optimize_atom_mechanism_fixed(mech, np.array([0.25, 0.25, np.nan, 0.25]),
                                         G.grid_shape(d), lat.top)
+
+
+def test_unknown_which_rejected_by_every_entry_point():
+    pt = rand_point(2, np.random.default_rng(16))
+    lat = enumerate_lattice(2)
+    r = Realization(t=0, s=(1, 1))
+    mech, q = G.mechanism_from_distribution(xor_distribution())
+    calls = [
+        lambda w: G.grad_i_sx_parts(pt, r, lat.top, w),
+        lambda w: G.grad_atom(pt, r, lat.top, w),
+        lambda w: G.grad_atom_via_closed_form(pt, r, lat.top, w),
+        lambda w: G.average_atom_value(pt.p, pt.shape, lat.top, w),
+        lambda w: G.grad_average(pt, lat.top, w),
+        lambda w: G.pointwise_value(pt.p, pt.shape, r, lat.top, "pi", w),
+        lambda w: G.optimize_atom(pt, lat.top, w, steps=1),
+        lambda w: G.optimize_atom_mechanism_fixed(mech, q, pt.shape, lat.top, w,
+                                                  steps=1),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="'plus', 'minus' or 'net', got 'bogus'"):
+            call("bogus")
+        call("minus")
+
+
+def test_one_kernel_call_per_evaluation(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(len(args[3]))
+        return union_event_masses(*args)
+
+    monkeypatch.setattr(G, "union_event_masses", counted)
+    pt = rand_point(3, np.random.default_rng(15))
+    lat = enumerate_lattice(3)
+    alpha = lat.node_by_name("{1,2}{3}")
+    G.grad_average(pt, alpha)
+    G.average_atom_value(pt.p, pt.shape, alpha)
+    assert calls == [pt.p.size] * 2
+    calls.clear()
+    G.optimize_atom(pt, alpha, steps=3)
+    assert calls == [pt.p.size] * 4
+    mech, _ = G.mechanism_from_distribution(xor_distribution())
+    calls.clear()
+    G.optimize_atom_mechanism_fixed(mech, np.array([0.4, 0.25, 0.2, 0.15]),
+                                    (2, 2, 2), enumerate_lattice(2).top, steps=3)
+    assert calls == [4] * 4  # the support cells of the xor channel

@@ -208,6 +208,26 @@ def test_kernel_masses_equal_support_scan_float():
             assert abs(minus[j] - want_minus) <= 1e-15
 
 
+def test_kernel_masses_exact_beyond_int64():
+    # numerators over 3^40 sum past the int64 range: the object-dtype path
+    nums = (3**39 + 1, 3**38, 3**38 - 1, 3**40 - 3**39 - 2 * 3**38)
+    d = JointDistribution.from_points(
+        bits("t"), [bits("s1"), bits("s2")],
+        [(r, Fraction(k, 3**40)) for r, k in zip(xor_distribution().support, nums)])
+    assert d.exact and d.mass_array[0].dtype == object
+    lat = enumerate_lattice(2)
+    for r in d.support:
+        plus, minus, p_t = M.node_event_probabilities(d, r, lat)
+        assert p_t == event_probability(d, [CylinderEvent(target=r.t)])
+        for j, a in enumerate(lat.nodes):
+            assert (plus[j], minus[j]) == scanned_masses(d, r, a), (r, a)
+    decs = M.decompose_support(d, lat)
+    avg = M.average_decomposition(d, lat, decompositions=decs)
+    assert avg.pi_by_name("{1,2}") == pytest.approx(math.fsum(
+        float(dec.weight) * dec.pi_by_name("{1,2}") for dec in decs), abs=1e-15)
+    assert M.child_meet_mass_identity_max_dev(d, lat) == 0
+
+
 def multiplicative_recursion(lat, ratios):
     """Oracle: each atom's ratio divided by the atoms of its strict downset."""
     out = [None] * len(ratios)
