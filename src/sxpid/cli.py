@@ -28,6 +28,9 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_ASSERTION = 3
 
+#: The significant decimal digits of a float64; more would only pad.
+MAX_PRECISION = 17
+
 
 def _load_input(spec: str, input_format: str | None,
                 tolerance: float) -> JointDistribution:
@@ -488,9 +491,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        for option, low in (("precision", 0), ("steps", 0), ("trials", 1)):
-            if getattr(args, option, low) < low:
-                raise ValueError(f"--{option} must be >= {low}, got {getattr(args, option)}")
+        for option, low, high in (("precision", 0, MAX_PRECISION),
+                                  ("steps", 0, math.inf), ("trials", 1, math.inf)):
+            value = getattr(args, option, low)
+            if not low <= value <= high:
+                bound = f">= {low}" if value < low else f"<= {high}"
+                raise ValueError(f"--{option} must be {bound}, got {value}")
         return args.fn(args)
     except (DistributionError, LatticeError, BoundaryError, KeyError,
             OSError, ValueError) as exc:

@@ -33,12 +33,11 @@ stable child order.
 Numerics. Event masses come from one ``dist.union_event_masses`` call
 for all realizations of an evaluation (cell masses binned by agreement
 mask in grid order, one 2^n-term product per realization; its masks are
-the gather indices above), and all their i-parts are inverted by one
-``invert_array`` call; realizations and columns are independent, so
-values are bit for bit those of one realization at a time, and averages
-are summed sequentially in grid order. Gradients are contracted in the
-agreement basis, so they differ from inverting the gradient rows in the
-order of summation only.
+the gather indices above), ``lattice.log_parts`` takes their logs as for
+``measures``, and one ``invert_array`` call inverts all i-parts; no value
+depends on the other realizations, and averages are summed sequentially
+in grid order. Gradients are contracted in the agreement basis, so they
+differ from inverting the gradient rows in the order of summation only.
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ import numpy as np
 
 from .dist import JointDistribution, Realization, union_event_masses
 from .lattice import (Antichain, BoundaryError, closed_form_plan,
-                      enumerate_lattice, invert_array, moebius_row)
+                      enumerate_lattice, invert_array, log_parts, moebius_row)
 
 _LN2 = math.log(2.0)
 
@@ -165,8 +164,7 @@ def _evaluate(p: np.ndarray, shape: tuple[int, ...], cells: np.ndarray, j: int,
     real = points[cells]
     agree, sums, p_t = _event_masses(p, shape, real)
     p_e, p_te = sums.transpose(2, 1, 0)
-    log_p_t = np.array([math.log2(x) for x in p_t.tolist()])
-    parts = np.concatenate([-np.log2(p_e), log_p_t - np.log2(p_te)], axis=1)
+    parts = np.hstack([x.T for x in log_parts(sums, p_t)])
     if quantity == "pi":
         parts = invert_array(lat, parts)
     w = moebius_row(lat, j) if quantity == "pi" else np.eye(1, len(lat), j)[0]
@@ -413,14 +411,16 @@ def optimize_atom_mechanism_fixed(mechanism: np.ndarray, q0: np.ndarray,
     n_t = shape[0]
     src_size = int(np.prod(shape[1:]))
     M = np.asarray(mechanism, dtype=float).reshape(n_t, src_size)
-    col = M.sum(axis=0)
-    if not np.allclose(col, 1.0, atol=1e-9):
-        raise ValueError("mechanism columns must sum to 1")
     q = np.asarray(q0, dtype=float).reshape(-1).copy()
     if q.size != src_size:
         raise ValueError("source pmf length does not match the grid")
-    if np.isnan(q).any():
-        raise ValueError(f"source pmf coordinate {np.isnan(q).argmax()} is NaN")
+    for what, x, ok in (("mechanism entry", M.ravel(), np.isfinite(M) & (M >= 0)),
+                        ("source pmf coordinate", q, np.isfinite(q))):
+        if not ok.all():
+            k = (~ok).argmax()
+            raise ValueError(f"{what} {k} is {'NaN' if np.isnan(x[k]) else x[k]}")
+    if not np.allclose(M.sum(axis=0), 1.0, atol=1e-9):
+        raise ValueError("mechanism columns must sum to 1")
     if q.min() < epsilon:
         raise BoundaryError("source pmf is not interior")
     q /= q.sum()

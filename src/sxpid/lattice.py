@@ -13,10 +13,10 @@ an up-set over the coalition masks: the coalitions that contain one of its
 members (``up_sets``), kept as one integer key per node from which the
 lattice derives everything else: the nodes are the minimal members of the
 up-closed coalition families, a <= b is inclusion of b's key in a's, the
-union events of ``sxpid.dist.union_event_masses`` read the up-sets,
-Moebius inversion runs one subtraction pass per coalition over them, and
-the key of a meet is the OR of the keys (``subset_meets``). The N x N
-``leq_matrix`` is an oracle only.
+union events of ``sxpid.dist.union_event_masses`` read the up-sets (their
+masses become i+ and i- in ``log_parts``), Moebius inversion runs one
+subtraction pass per coalition over them, and the key of a meet is the OR
+of the keys (``subset_meets``). The N x N ``leq_matrix`` is an oracle only.
 """
 
 from __future__ import annotations
@@ -423,12 +423,23 @@ def _log2(x: Mass) -> float:
     return math.log2(x)
 
 
-def _log2_all(xs: Sequence[Mass]) -> list[float]:
-    """``_log2`` of each mass, bit for bit; positive floats take ``math.log2``
-    in one ``map`` (``np.log2`` differs from it in the last place for some)."""
-    if type(xs[0]) is Fraction or not min(xs) > 0.0:  # NaN-safe
-        return [_log2(x) for x in xs]
-    return list(map(math.log2, xs))
+def _as_masses(x: np.ndarray, den: int | None) -> np.ndarray:
+    """Kernel sums as Python masses: floats, or reduced Fractions over den."""
+    return x if den is None else np.frompyfunc(Fraction, 2, 1)(x.astype(object), den)
+
+
+def log_parts(sums: np.ndarray, p_t: np.ndarray, den: int | None = None,
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """i+ = -log2 P(E_u) and i- = log2 P(t) - log2 P(t & E_u), R x U each,
+    from the sums and P(t) of ``dist.union_event_masses`` (numerators over
+    ``den`` if given). Float node masses take ``np.log2``, the rest ``_log2``
+    (exact ones as reduced Fractions); a nonpositive mass raises, NaN is NaN."""
+    sums, p_t = _as_masses(sums, den), _as_masses(p_t, den)
+    if den is None and (sums <= 0).any():
+        raise BoundaryError("log of a nonpositive probability")
+    logs = np.log2(sums) if den is None else np.vectorize(_log2, otypes=[float])(sums)
+    log_t = np.array([_log2(x) for x in p_t.tolist()])
+    return -logs[..., 0], log_t[:, None] - logs[..., 1]
 
 
 def closed_form_plan(lattice: RedundancyLattice, j: int, p_j: Mass,

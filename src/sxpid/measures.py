@@ -10,13 +10,13 @@ E_alpha and of its intersection with the target event:
     shared information    i  = i+ - i-
 
 Both probabilities come from the event-mass kernel
-``dist.union_event_masses``, one call per realization for a whole table
-of unions (``node_event_probabilities`` for the lattice). Exact masses are
-summed as integer numerators, so they stay exact; float masses are binned
-by agreement mask in support order, and each union sums its bins in one
-product, which is not correctly rounded. The support scan of
-``dist.event_probability`` remains as the independent check, used here by
-``self_shared`` and the statement channel.
+``dist.union_event_masses``, one call per table of unions at one
+realization, or at the whole support for the checks that scan it. Exact
+masses are summed as integer numerators; float masses are binned by
+agreement mask in support order, and each union sums its bins in one
+product, which is not correctly rounded. ``lattice.log_parts`` takes the
+logs, as for ``grad``. The support scan of ``dist.event_probability`` and
+the per-mass logs of the derived forms remain as independent checks.
 
 The per-node increments pi+/pi-/pi are recovered by Moebius inversion of
 i+/i- over the lattice (``lattice.invert_array``, one vector per part);
@@ -50,31 +50,33 @@ import numpy as np
 from .dist import (Alphabet, CylinderEvent, DistributionError, JointDistribution,
                    Mass, Realization, _sum_masses, marginal, regroup,
                    union_event_masses)
-from .lattice import (Antichain, RedundancyLattice, _log2, _log2_all,
+from .lattice import (Antichain, RedundancyLattice, _as_masses, _log2,
                       closed_form_atom_at, coalition_up_sets, enumerate_lattice,
-                      invert_array)
+                      invert_array, log_parts)
 
 #: Exact rational log-arguments are carried only for lattices this small;
 #: beyond n=3 the fractions grow without bound through the recursion.
 EXACT_RATIO_NODE_LIMIT = 18
 
 
-def _union_masses(d: JointDistribution, r: Realization, up_sets: np.ndarray,
-                  ) -> tuple[list[Mass], list[Mass], Mass]:
-    """P(E_u) and P(t & E_u) for every up-set row u at r, and P(t).
-
-    Exact inputs give Fractions (sums of integer numerators over the
-    common denominator), float inputs floats.
-    """
-    if d.mass(r) == 0:
-        raise DistributionError(f"realization {r} not in support")
+def _union_masses(d: JointDistribution, rs: Sequence[Realization],
+                  up_sets: np.ndarray) -> tuple[np.ndarray, np.ndarray, int | None]:
+    """The kernel's sums (R x U x 2) and P(t) (R) at the support points
+    ``rs``, in one call, and the denominator of exact masses (or None)."""
+    for r in rs:
+        if d.mass(r) == 0:
+            raise DistributionError(f"realization {r} not in support")
     masses, den = d.mass_array
     _, sums, p_t = union_event_masses(up_sets, d.support_array, masses,
-                                      np.array([(r.t, *r.s)]))
-    if den is None:
-        return sums[0, :, 0].tolist(), sums[0, :, 1].tolist(), float(p_t[0])
-    exact = [Fraction(int(x), den) for x in sums.ravel()]
-    return exact[0::2], exact[1::2], Fraction(int(p_t[0]), den)
+                                      np.array([(r.t, *r.s) for r in rs]))
+    return sums, p_t, den
+
+
+def _masses_at(d: JointDistribution, r: Realization, up_sets: np.ndarray,
+               ) -> tuple[list[Mass], list[Mass], Mass]:
+    """P(E_u) and P(t & E_u) for every up-set row u at r, and P(t)."""
+    sums, p_t, den = _union_masses(d, [r], up_sets)
+    return *_as_masses(sums[0].T, den).tolist(), *_as_masses(p_t, den).tolist()
 
 
 def _coalition_mask(d: JointDistribution, coalition: Iterable[int]) -> int:
@@ -88,14 +90,6 @@ def _coalition_mask(d: JointDistribution, coalition: Iterable[int]) -> int:
     if mask == 0:
         raise DistributionError("coalition must be nonempty, got ()")
     return mask
-
-
-def _parts(d: JointDistribution, r: Realization,
-           up_sets: np.ndarray) -> list[tuple[float, float]]:
-    """(i+, i-) for each up-set row (``coalition_up_sets``), one kernel call."""
-    plus, minus, p_t = _union_masses(d, r, up_sets)
-    log_t = _log2(p_t)
-    return [(-_log2(pe), log_t - _log2(pte)) for pe, pte in zip(plus, minus)]
 
 
 def _check_alpha(d: JointDistribution, alpha: Antichain) -> np.ndarray:
@@ -113,18 +107,18 @@ def _check_alpha(d: JointDistribution, alpha: Antichain) -> np.ndarray:
 
 def i_sx_plus(d: JointDistribution, r: Realization, alpha: Antichain) -> float:
     """Informative shared information: -log2 of the union-event probability."""
-    return _parts(d, r, _check_alpha(d, alpha))[0][0]
+    return log_parts(*_union_masses(d, [r], _check_alpha(d, alpha)))[0].item()
 
 
 def i_sx_minus(d: JointDistribution, r: Realization, alpha: Antichain) -> float:
     """Misinformative shared information: log2 P(t) / P(t & union event)."""
-    return _parts(d, r, _check_alpha(d, alpha))[0][1]
+    return log_parts(*_union_masses(d, [r], _check_alpha(d, alpha)))[1].item()
 
 
 def i_sx(d: JointDistribution, r: Realization, alpha: Antichain) -> float:
     """Signed shared information, the difference of the two parts."""
-    plus, minus = _parts(d, r, _check_alpha(d, alpha))[0]
-    return plus - minus
+    plus, minus = log_parts(*_union_masses(d, [r], _check_alpha(d, alpha)))
+    return (plus - minus).item()
 
 
 def i_sx_conditional_form(d: JointDistribution, r: Realization,
@@ -133,7 +127,7 @@ def i_sx_conditional_form(d: JointDistribution, r: Realization,
 
     Derived check only; must equal :func:`i_sx` to float precision.
     """
-    (p_e,), (p_te,), p_t = _union_masses(d, r, _check_alpha(d, alpha))
+    (p_e,), (p_te,), p_t = _masses_at(d, r, _check_alpha(d, alpha))
     return _log2(p_te) - _log2(p_e) - _log2(p_t)
 
 
@@ -147,7 +141,7 @@ def i_sx_exclusion_form(d: JointDistribution, r: Realization,
     rational masses and to float precision otherwise, since the excluded
     masses are summed over the excluded points themselves.
     """
-    (p_excl,), (p_t_excl,), p_t = _union_masses(d, r, ~_check_alpha(d, alpha))
+    (p_excl,), (p_t_excl,), p_t = _masses_at(d, r, ~_check_alpha(d, alpha))
     return _log2(p_t - p_t_excl) - _log2(d.total_mass() - p_excl) - _log2(p_t)
 
 
@@ -161,14 +155,15 @@ def i_sx_parts_from_collections(d: JointDistribution, r: Realization,
     index outside 1..n or an empty coalition raises DistributionError.
     """
     masks = [_coalition_mask(d, c) for c in collections]
-    return _parts(d, r, coalition_up_sets(d.n_sources, [masks]))[0]
+    parts = log_parts(*_union_masses(d, [r], coalition_up_sets(d.n_sources, [masks])))
+    return parts[0].item(), parts[1].item()
 
 
 def local_mi(d: JointDistribution, r: Realization,
              coalition: Iterable[int]) -> float:
     """Plain pointwise mutual information of one coalition about the target."""
     mask = _coalition_mask(d, coalition)
-    (p_a,), (p_ta,), p_t = _union_masses(
+    (p_a,), (p_ta,), p_t = _masses_at(
         d, r, coalition_up_sets(d.n_sources, [[mask]]))
     return _log2(p_ta) - _log2(p_a) - _log2(p_t)
 
@@ -281,9 +276,8 @@ def pointwise_decomposition(d: JointDistribution, r: Realization,
                             ) -> PointwiseDecomposition:
     """Evaluate i+/i- at every node and Moebius-invert both lattices."""
     lat = lattice or enumerate_lattice(d.n_sources)
-    p_plus, p_minus, p_t = node_event_probabilities(d, r, lat)
-    ip = -np.array(_log2_all(p_plus))
-    im = _log2(p_t) - np.array(_log2_all(p_minus))
+    sums, p_t, den = _union_masses(d, [r], lat.up_sets)
+    (ip,), (im,) = log_parts(sums, p_t, den)
     # one vector each: indexing a vector is several times faster than
     # indexing the rows of an N x 2 matrix, and the bits are the same
     pip = invert_array(lat, ip)
@@ -291,6 +285,8 @@ def pointwise_decomposition(d: JointDistribution, r: Realization,
 
     exact = {}
     if d.exact and len(lat.nodes) <= EXACT_RATIO_NODE_LIMIT:
+        p_plus, p_minus = _as_masses(sums[0].T, den).tolist()
+        (p_t,) = _as_masses(p_t, den).tolist()
         ri_plus = [1 / p for p in p_plus]
         ri_minus = [p_t / p for p in p_minus]
         exact = {
@@ -413,7 +409,7 @@ def node_event_probabilities(d: JointDistribution, r: Realization,
     float masses.
     """
     lat = lattice or enumerate_lattice(d.n_sources)
-    return _union_masses(d, r, lat.up_sets)
+    return _masses_at(d, r, lat.up_sets)
 
 
 def form_equivalence_max_dev(d: JointDistribution,
@@ -425,14 +421,13 @@ def form_equivalence_max_dev(d: JointDistribution,
     works through complement-intersection masses, over every support
     realization and node.
     """
-    lat = lattice or enumerate_lattice(d.n_sources)
-    worst = 0.0
-    total = d.total_mass()
-    for r in d.support:
-        plus, minus, p_t = _union_masses(d, r, lat.up_sets)
-        excl, t_excl, _ = _union_masses(d, r, ~lat.up_sets)
-        for p_e, p_te, p_x, p_tx in zip(plus, minus, excl, t_excl):
-            base = -_log2(p_e) - (_log2(p_t) - _log2(p_te))
+    up = (lattice or enumerate_lattice(d.n_sources)).up_sets
+    sums, p_t, den = _union_masses(d, d.support, np.concatenate([up, ~up]))
+    plus, minus = log_parts(sums[:, :len(up)], p_t, den)
+    worst, total = 0.0, d.total_mass()
+    masses = (_as_masses(x, den).tolist() for x in (sums, p_t))
+    for bases, row, p_t in zip((plus - minus).tolist(), *masses):
+        for base, (p_e, p_te), (p_x, p_tx) in zip(bases, row, row[len(up):]):
             cond = _log2(p_te) - _log2(p_e) - _log2(p_t)
             excl_form = _log2(p_t - p_tx) - _log2(total - p_x) - _log2(p_t)
             worst = max(worst, abs(base - cond), abs(base - excl_form))
@@ -464,13 +459,9 @@ def child_meet_mass_identity_max_dev(d: JointDistribution,
     """
     lat = lattice or enumerate_lattice(d.n_sources)
     j, g, mb, mbg = np.array(_child_meet_plan(lat), dtype=np.intp).reshape(-1, 4).T
-    masses, den = d.mass_array
-    worst = 0.0
-    for at in d.support_array[:, None]:
-        _, (sums,), _ = union_event_masses(lat.up_sets, d.support_array, masses, at)
-        dev = np.abs(sums[mbg] - (sums[mb] + sums[g] - sums[j]))
-        worst = max(worst, float(dev.max(initial=0)) / (den or 1))
-    return worst
+    sums, _, den = _union_masses(d, d.support, lat.up_sets)
+    worst = max(np.abs(s[mbg] - (s[mb] + s[g] - s[j])).max(initial=0) for s in sums)
+    return float(worst) / (den or 1)
 
 
 def atom_via_closed_form(d: JointDistribution, r: Realization, alpha: Antichain,
@@ -648,14 +639,13 @@ def axiom_suite(d: JointDistribution,
     reordered = [(a, variant) for a in lat.nodes if len(a.masks) > 1
                  for variant in (tuple(reversed(a.masks)), a.masks[1:] + a.masks[:1])]
     extended = [(a, extra) for a in lat.nodes for extra in range(1, 1 << n)]
-    variant_up_sets = coalition_up_sets(
-        n, [v for _, v in reordered] + [a.masks + (e,) for a, e in extended])
+    variants = log_parts(*_union_masses(d, d.support, coalition_up_sets(
+        n, [v for _, v in reordered] + [a.masks + (e,) for a, e in extended])))
 
-    for r in d.support:
+    for r, variant_parts in zip(d.support, np.stack(variants, axis=2).tolist()):
         dec = pointwise_decomposition(d, r, lat)
         table = {a: (dec.i_plus[j], dec.i_minus[j])
                  for j, a in enumerate(lat.nodes)}
-        variant_parts = _parts(d, r, variant_up_sets)
 
         # (a) permutation invariance
         for (a, _), got in zip(reordered, variant_parts):
@@ -723,12 +713,12 @@ def duplicate_invariance_check(d: JointDistribution,
                           f"sources {i} and {j} differ on support")
             return report
     lat = enumerate_lattice(d.n_sources)
-    swapped = coalition_up_sets(d.n_sources, [
+    swapped = log_parts(*_union_masses(d, d.support, coalition_up_sets(d.n_sources, [
         [_coalition_mask(d, [i if x == j else x for x in coll])
-         for coll in a.collections] for a in lat.nodes])
-    for r in d.support:
+         for coll in a.collections] for a in lat.nodes])))
+    for r, swaps in zip(d.support, np.stack(swapped, axis=2).tolist()):
         dec = pointwise_decomposition(d, r, lat)
-        for k, (a, got) in enumerate(zip(lat.nodes, _parts(d, r, swapped))):
+        for k, (a, got) in enumerate(zip(lat.nodes, swaps)):
             want = (dec.i_plus[k], dec.i_minus[k])
             ok = abs(got[0] - want[0]) <= 1e-9 and abs(got[1] - want[1]) <= 1e-9
             report.record(ok, "twin-swap", r,

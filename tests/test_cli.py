@@ -266,6 +266,8 @@ def test_out_of_range_options_exit_2(capsys, argv, message):
     (["bench", "2", "--trials", "0"], "--trials must be >= 1, got 0"),
     (["compute", "xor", "--precision", "-1"], "--precision must be >= 0, got -1"),
     (["example", "xor", "--precision", "-2"], "--precision must be >= 0, got -2"),
+    (["compute", "xor", "--precision", "100000000"],
+     "--precision must be <= 17, got 100000000"),
 ])
 def test_bad_count_options_exit_2(capsys, argv, message):
     assert cli.main(argv) == 2

@@ -11,8 +11,8 @@ from helpers import grid_points, random_grid_distribution
 from sxpid.dist import Alphabet
 from sxpid.lattice import (Antichain, BoundaryError, LatticeError, NODE_COUNTS,
                            closed_form_atom, closed_form_plan, coalition_up_sets,
-                           enumerate_lattice, invert_array,
-                           leq, meet, moebius_invert, moebius_row,
+                           enumerate_lattice, invert_array, leq, log_parts,
+                           meet, moebius_invert, moebius_row,
                            normalize_antichain, parse_node_name)
 from sxpid.report import display_order
 
@@ -499,3 +499,22 @@ def test_normalize_properties(n, data):
     # appending a superset of an existing collection changes nothing
     extra = list(a.collections[0]) + [data.draw(st.integers(1, n))]
     assert normalize_antichain(n, list(a.collections) + [extra]) == a
+
+
+def test_log_parts_one_policy():
+    # float node masses take np.log2 of the array, P(t) math.log2; exact
+    # numerators become reduced Fractions, each logged per part
+    sums, p_t = np.array([[[0.7, 0.3], [0.9, 0.35]]]), np.array([0.4])
+    plus, minus = log_parts(sums, p_t)
+    assert plus.tolist() == (-np.log2(sums[..., 0])).tolist()
+    assert minus.tolist() == (math.log2(0.4) - np.log2(sums[..., 1])).tolist()
+    # 6/12, 2/12, 9/12, 3/12 and P(t) = 4/12 reduce to 1/2, 1/6, 3/4, 1/4, 1/3
+    plus, minus = log_parts(np.array([[[6, 2], [9, 3]]]), np.array([4]), den=12)
+    lg = lambda a, b: math.log2(a) - math.log2(b)  # noqa: E731
+    assert plus.tolist() == [[-lg(1, 2), -lg(3, 4)]]
+    assert minus.tolist() == [[lg(1, 3) - lg(1, 6), lg(1, 3) - lg(1, 4)]]
+    assert np.isnan(log_parts(np.array([[[np.nan, 0.3]]]), p_t)[0]).all()
+    for bad, den in ((np.array([[[0.5, 0.0]]]), None),
+                     (np.array([[[0.5, -0.1]]]), None), (np.array([[[6, 0]]]), 12)):
+        with pytest.raises(BoundaryError, match="nonpositive"):
+            log_parts(bad, np.array([4]) if den else p_t, den)

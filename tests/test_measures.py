@@ -12,8 +12,10 @@ from sxpid.builtins import (builtin_distribution, parity_distribution,
                             rnderr_distribution, xor_distribution,
                             xorduplicate_distribution)
 from sxpid.dist import (Alphabet, CylinderEvent, DistributionError,
-                        JointDistribution, Realization, event_probability)
+                        JointDistribution, Realization, event_probability,
+                        union_event_masses)
 from sxpid.lattice import Antichain, enumerate_lattice, invert_array, leq
+from sxpid import grad as G
 from sxpid import measures as M
 
 L2 = math.log2
@@ -228,6 +230,49 @@ def test_kernel_masses_exact_beyond_int64():
     assert M.child_meet_mass_identity_max_dev(d, lat) == 0
 
 
+@pytest.mark.parametrize("n, seed", [(2, 3), (3, 5), (4, 7)])
+def test_measures_and_grad_agree_in_bits(n, seed):
+    # both modules take their logs from lattice.log_parts; at n = 4, seed 7,
+    # np.log2 and math.log2 differ for 84 of the 10,624 atoms compared
+    d = random_grid_distribution(n, np.random.default_rng(seed))
+    lat = enumerate_lattice(n)
+    shape, p = G.grid_shape(d), G.grid_from_distribution(d)
+    cells = np.array([np.ravel_multi_index((r.t, *r.s), shape) for r in d.support])
+    assert sorted(cells.tolist()) == list(range(p.size))
+    want = np.stack([dec.block for dec in M.decompose_support(d, lat)])
+    for j in range(len(lat)):
+        for row, which in ((3, "plus"), (4, "minus")):
+            got, _ = G._evaluate(p, shape, cells, j, "pi", which)
+            assert got.tolist() == want[:, row, j].tolist(), (j, which)
+
+
+def test_support_checks_make_one_kernel_call(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(len(args[3]))
+        return union_event_masses(*args)
+
+    monkeypatch.setattr(M, "union_event_masses", counted)
+    rng = np.random.default_rng(19)
+    for d in (random_grid_distribution(3, rng), xor_distribution()):
+        assert d.exact == (d.n_sources == 2)
+        M.pointwise_decomposition(d, d.support[-1])
+        assert calls == [1]
+        calls.clear()
+        M.child_meet_mass_identity_max_dev(d)
+        assert calls == [len(d.support)]
+        calls.clear()
+    small, big = xor_distribution(), random_grid_distribution(2, rng, t_card=4)
+    counts = []
+    for d in (small, big):
+        M.form_equivalence_max_dev(d)
+        counts.append(len(calls))
+        calls.clear()
+    assert (len(small.support), len(big.support)) == (4, 16)
+    assert counts[0] == counts[1]
+
+
 def multiplicative_recursion(lat, ratios):
     """Oracle: each atom's ratio divided by the atoms of its strict downset."""
     out = [None] * len(ratios)
@@ -269,17 +314,18 @@ def test_parts_from_collections_validates_coalitions():
 # vectorized logs and averages against per-node references
 # ---------------------------------------------------------------------------
 
-def per_node_log2(p):
+def per_node_log2(p, float_log2=np.log2):
     if isinstance(p, Fraction):
         return L2(p.numerator) - L2(p.denominator)
-    return L2(p)
+    return float(float_log2(p))
 
 
 def reference_pointwise(d, r, lat):
-    """The six fields from one math.log2 per node, as Python float tuples."""
+    """The six fields from one log per node (np.log2 of a float node mass,
+    math.log2 of P(t)), as Python float tuples."""
     plus, minus, p_t = M.node_event_probabilities(d, r, lat)
     ip = [-per_node_log2(p) for p in plus]
-    im = [per_node_log2(p_t) - per_node_log2(p) for p in minus]
+    im = [per_node_log2(p_t, L2) - per_node_log2(p) for p in minus]
     pi = invert_array(lat, np.array([ip, im]).T)
     pip, pim = pi[:, 0].tolist(), pi[:, 1].tolist()
     return {"i_plus": tuple(ip), "i_minus": tuple(im),

@@ -141,17 +141,18 @@ def test_render_json_equals_json_dumps_on_hand_made_docs(doc):
     assert report.render_json(doc) == want
 
 
-def _log2(x) -> float:
+def _log2(x, float_log2=np.log2) -> float:
     if isinstance(x, Fraction):
         return math.log2(x.numerator) - math.log2(x.denominator)
-    return math.log2(x)
+    return float(float_log2(x))
 
 
 def reference_pointwise(d, r, lat):
-    """One log per node, both parts inverted in one N x 2 matrix."""
+    """One log per node (np.log2 of a float node mass, math.log2 of P(t)),
+    both parts inverted in one N x 2 matrix."""
     p_plus, p_minus, p_t = M.node_event_probabilities(d, r, lat)
     ip = [-_log2(p) for p in p_plus]
-    im = [_log2(p_t) - _log2(p) for p in p_minus]
+    im = [_log2(p_t, math.log2) - _log2(p) for p in p_minus]
     pi = invert_array(lat, np.array([ip, im]).T)
     pip, pim = pi[:, 0].tolist(), pi[:, 1].tolist()
     return {"i_plus": ip, "i_minus": im, "i": [a - b for a, b in zip(ip, im)],
