@@ -433,12 +433,16 @@ def log_parts(sums: np.ndarray, p_t: np.ndarray, den: int | None = None,
     """i+ = -log2 P(E_u) and i- = log2 P(t) - log2 P(t & E_u), R x U each,
     from the sums and P(t) of ``dist.union_event_masses`` (numerators over
     ``den`` if given). Float node masses take ``np.log2``, the rest ``_log2``
-    (exact ones as reduced Fractions); a nonpositive mass raises, NaN is NaN."""
-    sums, p_t = _as_masses(sums, den), _as_masses(p_t, den)
+    (exact ones per distinct reduced Fraction); a nonpositive mass raises, NaN is NaN."""
     if den is None and (sums <= 0).any():
         raise BoundaryError("log of a nonpositive probability")
-    logs = np.log2(sums) if den is None else np.vectorize(_log2, otypes=[float])(sums)
-    log_t = np.array([_log2(x) for x in p_t.tolist()])
+    if den is None:
+        logs = np.log2(sums)
+    else:
+        nums, where = np.unique(sums, return_inverse=True)
+        logs = np.array([_log2(Fraction(v, den)) for v in nums.tolist()])
+        logs = logs[where].reshape(sums.shape)
+    log_t = np.array([_log2(x) for x in _as_masses(p_t, den).tolist()])
     return -logs[..., 0], log_t[:, None] - logs[..., 1]
 
 

@@ -11,7 +11,7 @@ E_alpha and of its intersection with the target event:
 
 Both probabilities come from the event-mass kernel
 ``dist.union_event_masses``, one call per table of unions at one
-realization, or at the whole support for the checks that scan it. Exact
+realization, and one in all for each check that scans the support. Exact
 masses are summed as integer numerators; float masses are binned by
 agreement mask in support order, and each union sums its bins in one
 product, which is not correctly rounded. ``lattice.log_parts`` takes the
@@ -179,6 +179,9 @@ def self_shared(d: JointDistribution, s: Sequence[int], alpha: Antichain) -> flo
     _check_alpha(d, alpha)
     if len(s) != d.n_sources:
         raise DistributionError("source outcome has wrong arity")
+    for i, (si, alph) in enumerate(zip(s, d.source_alphabets)):
+        if not 0 <= si < len(alph):
+            raise DistributionError(f"source {i + 1} index {si} out of range in {tuple(s)}")
     events = [CylinderEvent(sources=tuple((i - 1, s[i - 1]) for i in coll))
               for coll in alpha.collections]
     p = d.mass_where(lambda sp: any(ev.matches(sp) for ev in events))
@@ -486,9 +489,16 @@ def atom_via_closed_form(d: JointDistribution, r: Realization, alpha: Antichain,
 # Composite targets: chain rule and the entropy decomposition.
 # ---------------------------------------------------------------------------
 
+def _check_groups(d: JointDistribution, group_of: Sequence[int]) -> None:
+    if len(group_of) != len(d.target_alphabet):
+        raise DistributionError(f"group_of has {len(group_of)} entries for "
+                                f"{len(d.target_alphabet)} target symbols")
+
+
 def coarsen_target(d: JointDistribution, group_of: Sequence[int],
                    group_labels: Sequence[str] | None = None) -> JointDistribution:
     """Merge target symbols that share a group id (first chain-rule factor)."""
+    _check_groups(d, group_of)
     groups = sorted(set(group_of))
     if group_labels is None:
         group_labels = [str(g) for g in groups]
@@ -502,6 +512,7 @@ def coarsen_target(d: JointDistribution, group_of: Sequence[int],
 def condition_on_target_group(d: JointDistribution, group_of: Sequence[int],
                               group) -> JointDistribution:
     """Restrict to target symbols in a group and renormalize."""
+    _check_groups(d, group_of)
     sel = [(r, m) for r, m in zip(d.support, d.masses) if group_of[r.t] == group]
     if not sel:
         raise DistributionError(f"target group {group!r} has zero probability")
@@ -518,6 +529,7 @@ def conditional_i_sx(d: JointDistribution, r: Realization, alpha: Antichain,
     chain-rule factor, evaluated with every probability conditioned on the
     group event of r's target symbol."""
     _check_alpha(d, alpha)
+    _check_groups(d, group_of)
     cond = condition_on_target_group(d, group_of, group_of[r.t])
     return i_sx(cond, r, alpha)
 
@@ -617,7 +629,7 @@ def axiom_suite(d: JointDistribution,
     """
     lat = lattice or enumerate_lattice(d.n_sources)
     report = CheckReport()
-    n = d.n_sources
+    n, nodes = d.n_sources, lat.nodes
     all_colls = [tuple(i + 1 for i in range(n) if m >> i & 1)
                  for m in range(1, 1 << n)]
 
@@ -635,58 +647,58 @@ def axiom_suite(d: JointDistribution,
         return (-_log2(coll_t_marginal[coll].mass(joint))
                 + _log2(t_marginal.mass(Realization(t=r.t, s=()))))
 
+    singles = [(coll, lat.index(Antichain.of(n, [coll]))) for coll in all_colls]
+    top = lat.index(lat.top)  # its event is the full coalition's
     # the reordered and extended coalition lists are the same at every r
-    reordered = [(a, variant) for a in lat.nodes if len(a.masks) > 1
+    reordered = [(j, a, variant) for j, a in enumerate(nodes) if len(a.masks) > 1
                  for variant in (tuple(reversed(a.masks)), a.masks[1:] + a.masks[:1])]
-    extended = [(a, extra) for a in lat.nodes for extra in range(1, 1 << n)]
-    variants = log_parts(*_union_masses(d, d.support, coalition_up_sets(
-        n, [v for _, v in reordered] + [a.masks + (e,) for a, e in extended])))
+    extended = [(j, a, extra) for j, a in enumerate(nodes) for extra in range(1, 1 << n)]
+    sums, p_t, den = _union_masses(d, d.support, np.concatenate([
+        lat.up_sets, coalition_up_sets(n, [v for *_, v in reordered]
+                                       + [a.masks + (e,) for _, a, e in extended])]))
+    mis = [_log2(p_ts) - _log2(p_s) - _log2(p_t) for (p_s, p_ts), p_t in zip(
+        _as_masses(sums[:, top], den).tolist(), _as_masses(p_t, den).tolist())]
 
-    for r, variant_parts in zip(d.support, np.stack(variants, axis=2).tolist()):
-        dec = pointwise_decomposition(d, r, lat)
-        table = {a: (dec.i_plus[j], dec.i_minus[j])
-                 for j, a in enumerate(lat.nodes)}
-
+    # per realization: [i+, i-] of each node, then of each variant
+    tables = np.stack(log_parts(sums, p_t, den), 2).tolist()
+    for r, table, mi in zip(d.support, tables, mis):
         # (a) permutation invariance
-        for (a, _), got in zip(reordered, variant_parts):
-            want = table[a]
+        for (j, a, _), got in zip(reordered, table[len(nodes):]):
+            want = table[j]
             ok = abs(got[0] - want[0]) <= 1e-12 and abs(got[1] - want[1]) <= 1e-12
             report.record(ok, "permutation", r,
-                          lambda: f"{a.name} reordered: {got} vs {want}")
+                          lambda: f"{a.name} reordered: {got} vs {tuple(want)}")
 
         # (b) appending a collection never increases i+/i-
-        for (a, extra_mask), got in zip(extended, variant_parts[len(reordered):]):
-            base = table[a]
+        for (j, a, extra_mask), got in zip(extended, table[len(nodes) + len(reordered):]):
+            base = table[j]
             ok = got[0] <= base[0] + 1e-12 and got[1] <= base[1] + 1e-12
             report.record(ok, "monotone-append", r,
-                          lambda: f"{a.name} + {extra_mask:b}: {got} > {base}")
+                          lambda: f"{a.name} + {extra_mask:b}: {got} > {tuple(base)}")
             if any(m & extra_mask == m for m in a.masks):
                 ok = (abs(got[0] - base[0]) <= 1e-12
                       and abs(got[1] - base[1]) <= 1e-12)
                 report.record(ok, "append-equality", r,
                               lambda: f"{a.name} + superset {extra_mask:b}: "
-                                      f"{got} != {base}")
+                                      f"{got} != {tuple(base)}")
 
         # (c) self-redundancy against the marginal oracle
-        for coll in all_colls:
-            a = Antichain.of(n, [coll])
+        for coll, j in singles:
             want_plus = h_marginal(coll, r)
             want_minus = h_conditional(coll, r)
-            got_plus, got_minus = table[a]
+            got_plus, got_minus = table[j]
             ok = abs(got_plus - want_plus) <= tol and abs(got_minus - want_minus) <= tol
             report.record(ok, "self-redundancy", r,
-                          lambda: f"{a.name}: ({got_plus}, {got_minus}) vs "
+                          lambda: f"{nodes[j].name}: ({got_plus}, {got_minus}) vs "
                                   f"({want_plus}, {want_minus})")
-        full = Antichain.of(n, [range(1, n + 1)])
-        mi = local_mi(d, r, range(1, n + 1))
-        got = table[full][0] - table[full][1]
+        got = table[top][0] - table[top][1]
         report.record(abs(got - mi) <= tol, "full-coalition-mi", r,
                       lambda: f"{got} vs local mi {mi}")
 
         # (d) monotone increase along cover edges
         for which, col in (("plus", 0), ("minus", 1)):
             bad = check_lattice_monotonicity(
-                lat, {a: table[a][col] for a in lat.nodes}, tol)
+                lat, {a: v[col] for a, v in zip(nodes, table)}, tol)
             report.record(not bad, f"lattice-monotone-{which}", r,
                           lambda: str(bad))
 
@@ -705,29 +717,31 @@ def duplicate_invariance_check(d: JointDistribution,
     node names to values, the pointwise atoms are additionally checked
     against them at every realization (tolerance ``tol``).
     """
-    i, j = pair
+    n, (i, j) = d.n_sources, pair
+    if not (1 <= i <= n and 1 <= j <= n and i != j):
+        raise DistributionError(f"pair {pair} must name two different sources in 1..{n}")
     report = CheckReport()
     for r in d.support:
         if r.s[i - 1] != r.s[j - 1]:
             report.record(False, "duplicate-pair", r,
                           f"sources {i} and {j} differ on support")
             return report
-    lat = enumerate_lattice(d.n_sources)
-    swapped = log_parts(*_union_masses(d, d.support, coalition_up_sets(d.n_sources, [
-        [_coalition_mask(d, [i if x == j else x for x in coll])
-         for coll in a.collections] for a in lat.nodes])))
-    for r, swaps in zip(d.support, np.stack(swapped, axis=2).tolist()):
-        dec = pointwise_decomposition(d, r, lat)
-        for k, (a, got) in enumerate(zip(lat.nodes, swaps)):
-            want = (dec.i_plus[k], dec.i_minus[k])
+    lat = enumerate_lattice(n)
+    swaps = coalition_up_sets(n, [
+        [_coalition_mask(d, [i if x == j else x for x in coll]) for coll in a.collections]
+        for a in lat.nodes])
+    parts = log_parts(*_union_masses(d, d.support, np.concatenate([lat.up_sets, swaps])))
+    if expected_pi:
+        pi = np.subtract(*(invert_array(lat, x[:, :len(swaps)].T) for x in parts))
+    for k, (r, row) in enumerate(zip(d.support, np.stack(parts, 2).tolist())):
+        for a, want, got in zip(lat.nodes, row, row[len(swaps):]):
             ok = abs(got[0] - want[0]) <= 1e-9 and abs(got[1] - want[1]) <= 1e-9
             report.record(ok, "twin-swap", r,
-                          lambda: f"{a.name}: {got} vs {want}")
-        if expected_pi is not None:
-            for name, want_pi in expected_pi.items():
-                got_pi = dec.pi_by_name(name)
-                report.record(abs(got_pi - want_pi) <= tol, "expected-atom", r,
-                              lambda: f"pi({name}) = {got_pi}, expected {want_pi}")
+                          lambda: f"{a.name}: {got} vs {tuple(want)}")
+        for name, want_pi in (expected_pi or {}).items():
+            got_pi = pi[lat.index(lat.node_by_name(name)), k].item()
+            report.record(abs(got_pi - want_pi) <= tol, "expected-atom", r,
+                          lambda: f"pi({name}) = {got_pi}, expected {want_pi}")
     return report
 
 

@@ -20,7 +20,8 @@ from sxpid.builtins import (parity_distribution, pwunq_distribution,
                             rnd_distribution, rnderr_distribution,
                             xor_distribution, xorduplicate_distribution)
 from sxpid.dist import Realization
-from sxpid.lattice import Antichain, NODE_COUNTS, enumerate_lattice
+from sxpid.lattice import (Antichain, NODE_COUNTS, closed_form_atom_at,
+                           enumerate_lattice)
 from sxpid import grad as G
 from sxpid import measures as M
 
@@ -240,11 +241,13 @@ def _theorem_and_moebius_checks(d, lat, Lf):
 
 
 def _closed_form_checks(d, lat, decs):
+    # atom_via_closed_form with its kernel call made once per realization
     for dec in decs:
-        for j, a in enumerate(lat.nodes):
-            got = M.atom_via_closed_form(d, dec.realization, a, "plus", lat)
+        plus, minus, p_t = M.node_event_probabilities(d, dec.realization, lat)
+        for j in range(len(lat.nodes)):
+            got = closed_form_atom_at(lat, j, plus.__getitem__)
             assert abs(got - dec.pi_plus[j]) <= 1e-9
-            got = M.atom_via_closed_form(d, dec.realization, a, "minus", lat)
+            got = closed_form_atom_at(lat, j, lambda i: minus[i] / p_t)
             assert abs(got - dec.pi_minus[j]) <= 1e-9
 
 

@@ -269,8 +269,14 @@ def test_support_checks_make_one_kernel_call(monkeypatch):
         M.form_equivalence_max_dev(d)
         counts.append(len(calls))
         calls.clear()
+        M.axiom_suite(d)
+        assert calls == [len(d.support)]
+        calls.clear()
     assert (len(small.support), len(big.support)) == (4, 16)
     assert counts[0] == counts[1]
+    d = xorduplicate_distribution()
+    M.duplicate_invariance_check(d, (1, 3), {"{1}{3}": 0.5849})
+    assert calls == [len(d.support)]
 
 
 def multiplicative_recursion(lat, ratios):
@@ -568,6 +574,18 @@ def test_duplicated_target_conditional_zero():
             pytest.approx(0.0, abs=1e-12)
 
 
+def test_group_of_must_cover_the_target_alphabet():
+    d = xor_distribution()
+    r, a = d.support[-1], enumerate_lattice(2).top
+    for group_of in ([0], [0, 1, 2]):
+        for call in (lambda: M.coarsen_target(d, group_of),
+                     lambda: M.condition_on_target_group(d, group_of, 0),
+                     lambda: M.conditional_i_sx(d, r, a, group_of),
+                     lambda: M.target_chain_terms(d, r, a, group_of)):
+            with pytest.raises(DistributionError, match=f"{len(group_of)} entries for 2"):
+                call()
+
+
 # ---------------------------------------------------------------------------
 # self-shared information
 # ---------------------------------------------------------------------------
@@ -588,6 +606,13 @@ def test_self_shared_full_cover():
     # while the rnd pair at s=(0,0) excludes half the mass: 1 bit
     assert M.self_shared(rnd_distribution(), (0, 0), node(2, [1])) == \
         pytest.approx(1.0)
+
+
+def test_self_shared_rejects_symbol_out_of_range():
+    d, lat = xor_distribution(), enumerate_lattice(2)
+    for s, node_ in (((1, -1), lat.bottom), ((1, 2), lat.bottom), ((1, 2), lat.top)):
+        with pytest.raises(DistributionError, match=rf"source 2 index {s[1]} out of range"):
+            M.self_shared(d, s, node_)
 
 
 def test_self_shared_upper_bound_random():
@@ -687,6 +712,12 @@ def test_duplicate_invariance_flags_non_duplicate():
     rep = M.duplicate_invariance_check(xor_distribution(), pair=(1, 2))
     assert not rep.passed
     assert rep.violations[0].kind == "duplicate-pair"
+
+
+@pytest.mark.parametrize("pair", [(1, 9), (-1, 3), (0, 2), (3, 3)])
+def test_duplicate_invariance_rejects_bad_pair(pair):
+    with pytest.raises(DistributionError, match=rf"pair \({pair[0]}, {pair[1]}\)"):
+        M.duplicate_invariance_check(xorduplicate_distribution(), pair)
 
 
 def test_v_channel_table():
