@@ -47,11 +47,14 @@ def _load_input(spec: str, input_format: str | None,
 
 
 def _filter_nodes(doc: dict, keep: set[str]) -> dict:
-    doc = dict(doc)
-    doc["nodes"] = [x for x in doc["nodes"] if x in keep]
-    doc["averages"] = {k: v for k, v in doc["averages"].items() if k in keep}
-    for block in doc.get("pointwise", []):
-        block["nodes"] = {k: v for k, v in block["nodes"].items() if k in keep}
+    """A copy of the report ``doc`` restricted to the nodes in ``keep``;
+    ``doc`` itself is left as it was."""
+    def kept(nodes: dict) -> dict:
+        return {k: v for k, v in nodes.items() if k in keep}
+    doc = dict(doc, nodes=[x for x in doc["nodes"] if x in keep],
+               averages=kept(doc["averages"]))
+    if "pointwise" in doc:
+        doc["pointwise"] = [dict(r, nodes=kept(r["nodes"])) for r in doc["pointwise"]]
     return doc
 
 

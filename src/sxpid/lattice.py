@@ -56,6 +56,12 @@ def _collection_key(mask: int) -> tuple[int, tuple[int, ...]]:
     return (bin(mask).count("1"), _mask_indices(mask))
 
 
+@lru_cache(maxsize=1 << 10)
+def _coalition_name(mask: int) -> str:
+    """The coalition's part of a node name, e.g. ``{1,2}``."""
+    return "{" + ",".join(map(str, _mask_indices(mask))) + "}"
+
+
 def _coalition_masks(n: int, collections: Iterable[Iterable[int]]) -> list[int]:
     """Bit masks of 1-based index collections, checked against 1..n."""
     masks = []
@@ -112,7 +118,7 @@ class Antichain:
 
     @cached_property
     def name(self) -> str:
-        return "".join("{" + ",".join(map(str, c)) + "}" for c in self.collections)
+        return "".join(map(_coalition_name, self.masks))
 
     def sort_key(self):
         return tuple(_collection_key(m) for m in self.masks)
@@ -234,6 +240,11 @@ class RedundancyLattice:
             return self._index[a]
         except KeyError:
             raise LatticeError(f"{a!r} is not a node of this lattice") from None
+
+    @cached_property
+    def names(self) -> tuple[str, ...]:
+        """Node names in node order, made on first read."""
+        return tuple(a.name for a in self.nodes)
 
     def node_by_name(self, name: str) -> Antichain:
         a = parse_node_name(self.n, name)

@@ -6,9 +6,11 @@ name with fields i_plus, i_minus, i, pi_plus, pi_minus, pi. Negative
 signed atoms additionally carry ``misinformative: true``; exact rational
 log-arguments are included whenever the distribution allowed computing
 them. Tables list nodes bottom-up and print 4 decimals by default.
-Values are read column by column from the decompositions' blocks, and
-``render_json`` writes exactly the bytes of ``json.dumps(doc, indent=2)``;
-a node map of six-float blocks costs one ``repr`` per distinct float.
+Node names come from the lattice (``RedundancyLattice.names``), and each
+node block is one call of a constant-key constructor over the columns of
+the decompositions' blocks. ``render_json`` writes exactly the bytes of
+``json.dumps(doc, indent=2)``: a node map of six-float blocks costs one
+``repr`` per distinct float, and the node list is written directly.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, compress
 from json.encoder import encode_basestring_ascii
-from typing import Collection, Iterator, Sequence
+from typing import Callable, Collection, Iterator, Sequence
 
 import numpy as np
 
@@ -49,11 +51,11 @@ def decomposition_report(d: JointDistribution, avg: AverageDecomposition,
                          ) -> dict:
     lat = avg.lattice
     order = display_order(lat)
-    names = [lat.nodes[j].name for j in order]
+    names = list(map(lat.names.__getitem__, order))
     doc: dict = {
         "n_sources": d.n_sources,
         "nodes": names,
-        "averages": _node_blocks(names, AVERAGE_FIELDS, avg.block, order),
+        "averages": _node_blocks(names, _average_block, avg.block, order),
     }
     if decompositions is not None:
         doc["pointwise"] = [
@@ -71,13 +73,22 @@ def decomposition_report(d: JointDistribution, avg: AverageDecomposition,
     return doc
 
 
-def _node_blocks(names: Sequence[str], keys: Sequence[str], block: np.ndarray,
-                 order: Sequence[int]) -> dict:
-    """Node name -> {key: value} over the block's columns in ``order``; a
-    node whose signed atom (the last row) is negative is flagged
+def _average_block(a, b, c, d, e, f) -> dict:
+    """A node block of ``AVERAGE_FIELDS``, keys in order."""
+    return {"I_plus": a, "I_minus": b, "I": c, "Pi_plus": d, "Pi_minus": e, "Pi": f}
+
+
+def _pointwise_block(a, b, c, d, e, f) -> dict:
+    """A node block of ``POINTWISE_FIELDS``, keys in order."""
+    return {"i_plus": a, "i_minus": b, "i": c, "pi_plus": d, "pi_minus": e, "pi": f}
+
+
+def _node_blocks(names: Sequence[str], make: Callable[..., dict],
+                 block: np.ndarray, order: Sequence[int]) -> dict:
+    """Node name -> ``make(*column)`` over the block's columns in ``order``;
+    a node whose signed atom (the last row) is negative is flagged
     ``misinformative``."""
-    nodes = {name: dict(zip(keys, col))
-             for name, col in zip(names, _columns(block, order))}
+    nodes = dict(zip(names, map(make, *block[:, order].tolist())))
     for name in compress(names, (block[-1, order] < 0).tolist()):
         nodes[name]["misinformative"] = True
     return nodes
@@ -85,7 +96,7 @@ def _node_blocks(names: Sequence[str], keys: Sequence[str], block: np.ndarray,
 
 def _pointwise_blocks(dec: PointwiseDecomposition, names: Sequence[str],
                       order: Sequence[int]) -> dict:
-    nodes = _node_blocks(names, POINTWISE_FIELDS, dec.block, order)
+    nodes = _node_blocks(names, _pointwise_block, dec.block, order)
     if dec.exact_pi_plus is not None:
         for name, j in zip(names, order):
             nodes[name]["exact"] = {"i_plus": str(dec.exact_i_plus[j]),
@@ -105,10 +116,11 @@ def render_json(doc: dict) -> str:
     The report's node maps (``averages`` and each realization's ``nodes``)
     are written whole when every node block holds six finite floats in
     either field layout, optionally flagged ``misinformative``: one
-    ``repr`` per distinct float, joined with the layout's fixed text. Any
-    other node map, and everything else, goes through ``json.dumps`` and
-    is re-indented, which is exact because JSON strings hold no raw
-    newline.
+    ``repr`` per distinct float, joined with the layout's fixed text. A
+    non-empty node list of exact ``str`` is written one escaped name per
+    line. Any other node map or list, and everything else, goes through
+    ``json.dumps`` and is re-indented, which is exact because JSON strings
+    hold no raw newline.
     """
     return _dict(doc, "", _doc_value)
 
@@ -131,6 +143,11 @@ def _dict(value, indent: str, write_value) -> str:
 
 
 def _doc_value(key: str, value, indent: str) -> str:
+    if key == "nodes" and type(value) is list and value and \
+            all(type(x) is str for x in value):
+        inner = indent + "  "
+        return ("[\n" + inner + (",\n" + inner).join(map(encode_basestring_ascii, value))
+                + "\n" + indent + "]")
     if key == "averages":
         return _node_map(value, indent)
     if key == "pointwise" and type(value) is list and value:
@@ -224,8 +241,8 @@ def _value_rows(lat: RedundancyLattice, block: np.ndarray, precision: int,
     """One row per node in display order, restricted to ``keep`` if given."""
     order = display_order(lat)
     if keep is not None:
-        order = [j for j in order if lat.nodes[j].name in keep]
-    names = [lat.nodes[j].name for j in order]
+        order = [j for j in order if lat.names[j] in keep]
+    names = map(lat.names.__getitem__, order)
     fmt = f"{{:.{precision}f}}".format
     return [[name, *map(fmt, vals)]
             for name, vals in zip(names, _columns(block, order))]

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import time
@@ -5,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from sxpid import cli
+from sxpid import cli, measures, report
 from sxpid.builtins import builtin_distribution
 from sxpid.dist import JointDistribution, Realization, dump_csv, dump_json
 from sxpid.dist import Alphabet
@@ -98,6 +99,19 @@ def test_compute_node_filter_tables(capsys):
             nodes = [line.split()[0] for line in table.splitlines()
                      if line.startswith("{")]
             assert nodes == ["{1}", "{1,2}"]  # display order, not argument order
+
+
+def test_node_filter_leaves_the_report_unchanged():
+    d = builtin_distribution("xor")
+    decs = measures.decompose_support(d)
+    doc = report.decomposition_report(
+        d, measures.average_decomposition(d, decompositions=decs), decs)
+    before = copy.deepcopy(doc)
+    kept = cli._filter_nodes(doc, {"{1}{2}"})
+    assert doc == before
+    assert kept["nodes"] == ["{1}{2}"] and list(kept["averages"]) == ["{1}{2}"]
+    assert [list(r["nodes"]) for r in kept["pointwise"]] == [["{1}{2}"]] * 4
+    assert [list(r) for r in kept["pointwise"]] == [list(r) for r in doc["pointwise"]]
 
 
 def test_validation_exit_code(tmp_path, capsys):

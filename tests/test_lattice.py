@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from helpers import grid_points, random_grid_distribution
 from sxpid.dist import Alphabet
 from sxpid.lattice import (Antichain, BoundaryError, LatticeError, NODE_COUNTS,
+                           RedundancyLattice,
                            closed_form_atom, closed_form_plan, coalition_up_sets,
                            enumerate_lattice, invert_array, leq, log_parts,
                            meet, moebius_invert, moebius_row,
@@ -483,6 +484,17 @@ def test_node_by_name_lookup():
     assert lat.node_by_name("{2} {1}") == lat.bottom
     with pytest.raises(LatticeError):
         lat.node_by_name("{4}")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_names_equal_per_collection_formula(n):
+    lat = RedundancyLattice(n)
+    assert "names" not in vars(lat)  # building names no node
+    assert not any("name" in vars(a) for a in lat.nodes)
+    want = tuple("".join("{" + ",".join(map(str, c)) + "}" for c in a.collections)
+                 for a in lat.nodes)
+    assert lat.names == want
+    assert tuple(a.name for a in lat.nodes) == want
 
 
 @settings(max_examples=50, deadline=None)

@@ -67,6 +67,10 @@ class FloatSub(float):
     pass
 
 
+class StrSub(str):
+    pass
+
+
 HAND_MADE = [
     {"n_sources": 2, "nodes": ["{1}{2}", "{α}"], "averages": {
         "{1}{2}": _block(AVG, FINITE, misinformative=True),
@@ -97,6 +101,14 @@ HAND_MADE = [
      "pointwise": [{"weight": Fraction(1, 2), "nodes": {}}]},
     {"extra": {"a": [1, {"b": None}]}, "averages": None, "pointwise": {"x": 1}},
     [1, 2],
+    # node lists: empty, or holding a str subclass, an int, a nested list
+    # or names that need escaping
+    {"n_sources": 1, "nodes": [], "averages": {}},
+    {"n_sources": 1, "nodes": ["{1}", StrSub("{2}")]},
+    {"n_sources": 1, "nodes": ["{1}", 2]},
+    {"n_sources": 1, "nodes": ["{1}", ["{2}", "{3}"]]},
+    {"n_sources": 1, "nodes": ['"q"', "back\\slash", "new\nline", "{α}", "\U0001d11e"],
+     "pointwise": [{"nodes": ["{1}", "{2}"]}]},
     # node maps written whole: one value repeated across nodes and fields,
     # 0.0 and -0.0 side by side, flagged blocks among unflagged ones
     {"n_sources": 2, "nodes": ["{1}{2}", "{1}", "{2}", "{1,2}"], "averages": {
@@ -139,6 +151,28 @@ def test_render_json_equals_json_dumps_on_hand_made_docs(doc):
             report.render_json(doc)
         return
     assert report.render_json(doc) == want
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_node_blocks_hold_the_block_columns_in_field_order(n):
+    d = (random_grid_distribution(n, np.random.default_rng(70 + n)) if n < 5
+         else sparse_float_distribution(5, 3, seed=70))
+    decs = M.decompose_support(d)
+    avg = M.average_decomposition(d, decompositions=decs)
+    doc = report.decomposition_report(d, avg, decs)
+    order = report.display_order(avg.lattice)
+    assert doc["nodes"] == [avg.lattice.names[j] for j in order]
+    flags = 0
+    for fields, dec, nodes in [(AVG, avg, doc["averages"]),
+                               *((PW, dec, r["nodes"])
+                                 for dec, r in zip(decs, doc["pointwise"]))]:
+        assert list(nodes) == doc["nodes"]
+        for j, block in zip(order, nodes.values()):
+            flagged = int(dec.block[-1, j] < 0)
+            assert list(block) == list(fields) + ["misinformative"] * flagged
+            assert list(block.values()) == dec.block[:, j].tolist() + [True] * flagged
+            flags += flagged
+    assert flags > 0
 
 
 def _log2(x, float_log2=np.log2) -> float:
