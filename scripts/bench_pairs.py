@@ -1,17 +1,17 @@
 #!/usr/bin/env python3
 """Alternating parent/change pairs of ``perfbench/run.py``, written as a BENCH file.
 
-    python3 scripts/bench_pairs.py PARENT CHANGE --seed 2001 --traced-seed 2011 \\
-        --out BENCH.json [--pairs 10] [--seconds 40] [--note TEXT]
+    python3 scripts/bench_pairs.py PARENT CHANGE --seed 2001 --traced-seed 2011 --out B.json
 
-Each commit is exported with ``git archive`` into ``.bench_build/<commit>/``. Pair k of
-each ``BENCHMARK.json`` workload runs both sides at seed ``--seed`` + k, the parent first
-when k is even; one traced run per side follows. Standard library only.
+Each commit is exported with ``git archive`` into ``.bench_build/<commit>/``. For each
+``BENCHMARK.json`` workload, pair k of ``PAIRS`` runs both sides for its ``run_seconds`` at
+seed ``--seed`` + k, the parent first when k is even; one traced run per side follows.
 """
 
 import argparse
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -20,19 +20,23 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
+PAIRS = 10
 
 
 def export(rev: str) -> tuple[str, str]:
-    """The full commit id of ``rev`` and a copy of its tracked files."""
+    """The full commit id of ``rev`` and a complete copy of its tracked files."""
     sha = subprocess.check_output(["git", "rev-parse", rev + "^{commit}"], cwd=ROOT,
                                   text=True).strip()
     tree = os.path.join(ROOT, ".bench_build", sha)
     if not os.path.isdir(tree):
+        partial = tree + ".partial"
+        shutil.rmtree(partial, ignore_errors=True)
         proc = subprocess.Popen(["git", "archive", sha], cwd=ROOT, stdout=subprocess.PIPE)
         with tarfile.open(fileobj=proc.stdout, mode="r|") as tar:
-            tar.extractall(tree, filter="data")
+            tar.extractall(partial)
         if proc.wait():
             sys.exit(f"git archive {sha} failed")
+        os.rename(partial, tree)
     return sha, tree
 
 
@@ -40,8 +44,8 @@ def reject(const: str):
     raise ValueError(f"non-finite constant {const}")
 
 
-def run(tree: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One benchmark process; ``parsed`` is None unless its result is finite JSON."""
+def run(tree: str, workload: str, seed: int, seconds: float, trace: int) -> tuple[dict, dict]:
+    """One benchmark process: its record, and its result unless that is not finite JSON."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
             "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     start = time.perf_counter()
@@ -52,19 +56,14 @@ def run(tree: str, workload: str, seed: int, seconds: float, trace: int) -> dict
         record["absent_line"] = next((x for x in lines if x.startswith('{"trace"')), None)
     record["result"] = lines[-1]
     try:
-        record["parsed"] = json.loads(lines[-1], parse_constant=reject)
+        return record, json.loads(lines[-1], parse_constant=reject)
     except ValueError:
-        record["parsed"] = None
-    return record
+        return record, None
 
 
-def summarize(runs: list[dict], better: dict[str, str]) -> dict:
-    """Medians, quartiles and wins of each metric over the pairs that both parsed."""
-    by_pair = {}
-    for r in runs:
-        if r["parsed"]:
-            by_pair.setdefault(r["pair"], {})[r["side"]] = r["parsed"]["metrics"]
-    pairs = [p for p in by_pair.values() if len(p) == 2]
+def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
+    """Medians, quartiles and wins of each metric over the pairs whose sides both parsed."""
+    pairs = [{s: p[s]["metrics"] for s in SIDES} for p in pairs if all(p.values())]
     out = {}
     for metric, direction in better.items() if len(pairs) > 1 else ():
         values = {s: [p[s][metric]["value"] for p in pairs] for s in SIDES}
@@ -83,48 +82,41 @@ def main() -> None:
     ap.add_argument("parent")
     ap.add_argument("change")
     ap.add_argument("--seed", type=int, required=True, help="seed of pair 0")
-    ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--traced-seed", type=int, required=True)
-    ap.add_argument("--seconds", type=float, default=40)
     ap.add_argument("--out", required=True)
-    ap.add_argument("--note", default="", help="appended to the description")
     args = ap.parse_args()
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    seconds = bench["run_seconds"]
     trees = dict(zip(SIDES, (export(args.parent), export(args.change))))
     description = (
         f"Alternating parent/change pairs of `python3 perfbench/run.py --workload W --seed N "
-        f"--seconds {args.seconds:g} --trace 0`, each side run from a `git archive` copy of "
-        "its commit. Pair k runs the parent first when k is even, the change first when k "
-        f"is odd. Seeds {args.seed}-{args.seed + args.pairs - 1} for the pairs and "
-        f"{args.traced_seed} for the traced runs. Quartiles are statistics.quantiles(values, "
-        "n=4, method='inclusive'). Every result line was parsed with a JSON parser that "
-        f"rejects NaN and Infinity. {args.note}")
-    doc = {"description": description.strip(), "parent": trees["parent"][0],
+        f"--seconds {seconds} --trace 0` from `git archive` copies of the two commits, the "
+        f"parent first in even pairs. Seeds {args.seed}-{args.seed + PAIRS - 1}; traced runs "
+        f"at seed {args.traced_seed}. Quartiles: statistics.quantiles(values, n=4, "
+        "method='inclusive'). Result lines were parsed rejecting NaN and Infinity.")
+    doc = {"description": description, "parent": trees["parent"][0],
            "change": trees["change"][0], "workloads": {}, "traced_runs": []}
     for wl in (w["name"] for w in bench["workloads"]):
-        runs = []
-        for k in range(args.pairs):
+        runs, pairs = [], [{} for _ in range(PAIRS)]
+        for k, pair in enumerate(pairs):
             for side in SIDES if k % 2 == 0 else SIDES[::-1]:
-                rec = run(trees[side][1], wl, args.seed + k, args.seconds, 0)
+                rec, pair[side] = run(trees[side][1], wl, args.seed + k, seconds, 0)
                 runs.append({"seed": args.seed + k, "pair": k, "side": side,
                              "first": SIDES[k % 2], **rec})
                 print(f"{wl} pair {k} {side}: exit {rec['exit']}", file=sys.stderr)
-        parsed = [r["parsed"] or {} for r in runs]
+        parsed = {s: [p[s] or {} for p in pairs] for s in SIDES}
         doc["workloads"][wl] = {
-            "summary": summarize(runs, better),
-            **{key + "_ops": {s: sum(p.get(key, 0) for p, r in zip(parsed, runs)
-                                     if r["side"] == s) for s in SIDES}
+            "summary": summarize(pairs, better),
+            **{key + "_ops": {s: sum(r.get(key, 0) for r in parsed[s]) for s in SIDES}
                for key in ("failed", "attempted")},
-            "all_correct": all(p.get("correct") is True for p in parsed),
-            "all_strict_json": all(r["parsed"] is not None for r in runs),
-            "runs": [{k: v for k, v in r.items() if k != "parsed"} for r in runs]}
-        for side in SIDES:
-            rec = run(trees[side][1], wl, args.traced_seed, args.seconds, 1)
-            del rec["parsed"]
-            doc["traced_runs"].append({"workload": wl, "seed": args.traced_seed,
-                                       "side": side, "trace": 1, **rec})
+            "all_correct": all(r.get("correct") is True for s in SIDES for r in parsed[s]),
+            "all_strict_json": all(p[s] is not None for p in pairs for s in SIDES),
+            "runs": runs}
+        doc["traced_runs"] += [{"workload": wl, "seed": args.traced_seed, "side": s, "trace": 1,
+                                **run(trees[s][1], wl, args.traced_seed, seconds, 1)[0]}
+                               for s in SIDES]
     with open(args.out, "w") as fh:
         fh.write(json.dumps(doc, indent=1) + "\n")
 

@@ -277,14 +277,14 @@ def cmd_example(args) -> int:
 
 def cmd_lattice(args) -> int:
     lat = enumerate_lattice(args.n)
+    names = lat.names
     doc = {
         "n": args.n,
         "node_count": len(lat),
-        "nodes": [a.name for a in lat.nodes],
+        "nodes": list(names),
         "bottom": lat.bottom.name,
         "top": lat.top.name,
-        "cover_edges": [[lat.nodes[c].name, lat.nodes[p].name]
-                        for c, p in lat.cover_edges()],
+        "cover_edges": [[names[c], names[p]] for c, p in lat.cover_edges()],
         "children": {a.name: [b.name for b in lat.children(a)]
                      for a in lat.nodes},
     }

@@ -74,12 +74,14 @@ def decomposition_report(d: JointDistribution, avg: AverageDecomposition,
 
 
 def _average_block(a, b, c, d, e, f) -> dict:
-    """A node block of ``AVERAGE_FIELDS``, keys in order."""
+    """A node block of ``AVERAGE_FIELDS``, keys in order. Must match that tuple;
+    ``test_node_blocks_hold_the_block_columns_in_field_order`` checks it."""
     return {"I_plus": a, "I_minus": b, "I": c, "Pi_plus": d, "Pi_minus": e, "Pi": f}
 
 
 def _pointwise_block(a, b, c, d, e, f) -> dict:
-    """A node block of ``POINTWISE_FIELDS``, keys in order."""
+    """A node block of ``POINTWISE_FIELDS``, keys in order. Must match that tuple;
+    ``test_node_blocks_hold_the_block_columns_in_field_order`` checks it."""
     return {"i_plus": a, "i_minus": b, "i": c, "pi_plus": d, "pi_minus": e, "pi": f}
 
 
