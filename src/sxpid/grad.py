@@ -195,17 +195,20 @@ class GradientRecord:
                 for idx, v in zip(np.ndindex(*self.shape), self.partials)}
 
 
-def _check_point(point: SimplexPoint, alpha: Antichain) -> None:
-    if alpha.n != point.n_sources:
+def _node_index(p: np.ndarray, shape: tuple[int, ...], alpha: Antichain) -> int:
+    """``alpha``'s lattice index, once ``alpha`` and the pmf ``p`` fit the grid."""
+    if alpha.n != len(shape) - 1:
         raise ValueError(f"antichain over {alpha.n} sources, grid has "
-                         f"{point.n_sources}")
+                         f"{len(shape) - 1}")
+    if np.size(p) != int(np.prod(shape)):
+        raise ValueError("pmf length does not match the outcome grid")
+    return enumerate_lattice(len(shape) - 1).index(alpha)
 
 
 def grad_i_sx_parts(point: SimplexPoint, r: Realization, alpha: Antichain,
                     which: str = "net") -> GradientRecord:
     """Analytic gradient of i+ / i- / i at one realization and node."""
-    _check_point(point, alpha)
-    j = enumerate_lattice(point.n_sources).index(alpha)
+    j = _node_index(point.p, point.shape, alpha)
     _, rows = _evaluate(point.p, point.shape, [_cell(point.shape, r)], j, "i", which)
     return GradientRecord(f"i_{which}", alpha, r, point.shape, rows[0])
 
@@ -214,8 +217,7 @@ def grad_atom(point: SimplexPoint, r: Realization, alpha: Antichain,
               which: str = "net") -> GradientRecord:
     """Analytic gradient of an atom: the agreement-basis contraction of the
     i-part gradients over the downset (module docstring), exact at ties."""
-    _check_point(point, alpha)
-    j = enumerate_lattice(point.n_sources).index(alpha)
+    j = _node_index(point.p, point.shape, alpha)
     g = _evaluate(point.p, point.shape, [_cell(point.shape, r)], j, "pi", which)[1][0]
     return GradientRecord(f"pi_{which}", alpha, r, point.shape, g)
 
@@ -228,14 +230,13 @@ def grad_atom_via_closed_form(point: SimplexPoint, r: Realization,
     Raises ValueError when child event probabilities tie: the ordering in
     the closed form is not differentiable across a tie, the measure is.
     """
-    _check_point(point, alpha)
+    j = _node_index(point.p, point.shape, alpha)
     _check_which(which)
     if which == "net":
         plus, minus = (grad_atom_via_closed_form(point, r, alpha, w).partials
                        for w in ("plus", "minus"))
         return GradientRecord("pi_net", alpha, r, point.shape, plus - minus)
     lat = enumerate_lattice(point.n_sources)
-    j = lat.index(alpha)
     agree, (sums,), (p_t,) = _event_masses(point.p, point.shape,
                                             np.array([(r.t, *r.s)]))
     target = _grid_points(point.shape)[:, 0] == r.t
@@ -264,8 +265,8 @@ def _average_and_grad(p: np.ndarray, shape: tuple[int, ...], alpha: Antichain,
                       ) -> tuple[float, np.ndarray]:
     """Mass-weighted atom average over the grid (or a support mask) and its
     gradient, weight term plus measure term, from one evaluation."""
+    j = _node_index(p, shape, alpha)
     cells = np.arange(p.size) if support is None else np.flatnonzero(support)
-    j = enumerate_lattice(len(shape) - 1).index(alpha)
     values, rows = _evaluate(p, shape, cells, j, "pi", which)
     total = 0.0
     for pk, v in zip(p[cells].tolist(), values.tolist()):
@@ -285,7 +286,6 @@ def average_atom_value(p: np.ndarray, shape: tuple[int, ...], alpha: Antichain,
 def grad_average(point: SimplexPoint, alpha: Antichain,
                  which: str = "net") -> GradientRecord:
     """Gradient of the averaged atom: weight term plus measure term."""
-    _check_point(point, alpha)
     g = _average_and_grad(point.p, point.shape, alpha, which, None)[1]
     return GradientRecord(f"avg_pi_{which}", alpha, None, point.shape, g)
 
@@ -313,14 +313,14 @@ def fd_mismatch(analytic: np.ndarray, fd: np.ndarray,
     """Worst tolerance-normalized deviation (<= 1 means within tolerance).
 
     Partials below ``small`` in magnitude are held to the absolute
-    tolerance, everything else to the relative one.
+    tolerance, everything else to the relative one. A pair that is not
+    finite (NaN, or inf even against inf) reads as ``inf``.
     """
-    worst = 0.0
-    for a, b in zip(analytic, fd):
-        err = abs(a - b)
-        bound = abs_tol if abs(a) < small else rel_tol * abs(a)
-        worst = max(worst, err / bound)
-    return worst
+    a, b = np.asarray(analytic, dtype=float), np.asarray(fd, dtype=float)
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        return math.inf
+    bound = np.where(np.abs(a) < small, abs_tol, rel_tol * np.abs(a))
+    return float((np.abs(a - b) / bound).max(initial=0.0))
 
 
 def pointwise_value(p: np.ndarray, shape: tuple[int, ...], r: Realization,
@@ -332,7 +332,7 @@ def pointwise_value(p: np.ndarray, shape: tuple[int, ...], r: Realization,
     """
     if quantity not in ("i", "pi"):
         raise ValueError("quantity must be 'i' or 'pi'")
-    j = enumerate_lattice(len(shape) - 1).index(alpha)
+    j = _node_index(p, shape, alpha)
     return float(_evaluate(p, shape, [_cell(shape, r)], j, quantity, which)[0][0])
 
 # ---------------------------------------------------------------------------
@@ -376,7 +376,6 @@ def optimize_atom(start: SimplexPoint, alpha: Antichain, which: str = "net",
     (including the start) is returned; iteration stops after ``steps`` or
     once the projected-gradient norm drops below ``grad_tol``.
     """
-    _check_point(start, alpha)
     sign = 1.0 if maximize else -1.0
     x = start.p.copy()
     traj = []
@@ -408,6 +407,7 @@ def optimize_atom_mechanism_fixed(mechanism: np.ndarray, q0: np.ndarray,
     the source block moves. Cells where the mechanism is zero stay zero;
     pointwise terms are evaluated on the fixed support only.
     """
+    _node_index(mechanism, shape, alpha)
     n_t = shape[0]
     src_size = int(np.prod(shape[1:]))
     M = np.asarray(mechanism, dtype=float).reshape(n_t, src_size)

@@ -611,7 +611,7 @@ def check_lattice_monotonicity(lattice: RedundancyLattice,
     for child, parent in lattice.cover_edges():
         lo, hi = lattice.nodes[child], lattice.nodes[parent]
         delta = values[hi] - values[lo]
-        if delta < -tol:
+        if not delta >= -tol:  # NaN included
             bad.append((lo.name, hi.name, float(delta)))
     return bad
 

@@ -9,8 +9,10 @@ them. Tables list nodes bottom-up and print 4 decimals by default.
 Node names come from the lattice (``RedundancyLattice.names``), and each
 node block is one call of a constant-key constructor over the columns of
 the decompositions' blocks. ``render_json`` writes exactly the bytes of
-``json.dumps(doc, indent=2)``: a node map of six-float blocks costs one
-``repr`` per distinct float, and the node list is written directly.
+``json.dumps(doc, indent=2)``, each value by the first rule its shape
+(never its key) meets: a dict of node blocks of six finite floats whole
+from templates, one ``repr`` per distinct float; a list of ``str`` one
+item per line; other dicts and lists item by item; the rest by ``json``.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, compress
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Collection, Iterator, Sequence
+from typing import Callable, Collection, Sequence
 
 import numpy as np
 
@@ -39,11 +41,6 @@ def display_order(lattice: RedundancyLattice) -> list[int]:
 def realization_label(d: JointDistribution, r: Realization) -> str:
     s = ",".join(a.label(si) for a, si in zip(d.source_alphabets, r.s))
     return f"t={d.target_alphabet.label(r.t)} s=({s})"
-
-
-def _columns(block: np.ndarray, order: Sequence[int]) -> Iterator[tuple[float, ...]]:
-    """The block's columns in ``order``, each a tuple of Python floats."""
-    return zip(*block[:, order].tolist())
 
 
 def decomposition_report(d: JointDistribution, avg: AverageDecomposition,
@@ -113,69 +110,44 @@ def _pointwise_blocks(dec: PointwiseDecomposition, names: Sequence[str],
 # ---------------------------------------------------------------------------
 
 def render_json(doc: dict) -> str:
-    """``json.dumps(doc, indent=2)``, byte for byte.
-
-    The report's node maps (``averages`` and each realization's ``nodes``)
-    are written whole when every node block holds six finite floats in
-    either field layout, optionally flagged ``misinformative``: one
-    ``repr`` per distinct float, joined with the layout's fixed text. A
-    non-empty node list of exact ``str`` is written one escaped name per
-    line. Any other node map or list, and everything else, goes through
-    ``json.dumps`` and is re-indented, which is exact because JSON strings
-    hold no raw newline.
-    """
-    return _dict(doc, "", _doc_value)
+    """``json.dumps(doc, indent=2)``, byte for byte. A doc nested too deep
+    (or cyclic) for ``_write`` is left to ``json.dumps`` and its errors."""
+    try:
+        return _write(doc, "")
+    except RecursionError:
+        return json.dumps(doc, indent=2)
 
 
-def _dumps(value, indent: str) -> str:
-    """``value`` as ``json.dumps(indent=2)`` writes it ``indent`` deep."""
+def _write(value, indent: str) -> str:
+    """``value`` as ``json.dumps(indent=2)`` writes it ``indent`` deep, by
+    the first rule its shape meets: (1) a str-keyed dict whose values are
+    all node blocks of six finite floats in either field layout, optionally
+    flagged ``misinformative``, is written whole from templates; (2) a
+    non-empty list of exact ``str`` one escaped item per line; (3) any other
+    non-empty str-keyed dict or non-empty list item by item; (4) anything
+    else by ``json.dumps``, re-indented (exact: JSON strings hold no raw
+    newline)."""
+    inner = indent + "  "
+    if type(value) is dict and value and all(type(k) is str for k in value):
+        text = _uniform_node_map(value, indent)
+        if text is not None:
+            return text
+        items = [f"{inner}{encode_basestring_ascii(k)}: {_write(v, inner)}"
+                 for k, v in value.items()]
+        return "{\n" + ",\n".join(items) + "\n" + indent + "}"
+    if type(value) is list and value:
+        items = (map(encode_basestring_ascii, value)
+                 if all(type(x) is str for x in value)
+                 else [_write(x, inner) for x in value])
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
     return json.dumps(value, indent=2).replace("\n", "\n" + indent)
 
 
-def _dict(value, indent: str, write_value) -> str:
-    """A str-keyed dict with each value written by ``write_value(key, v, indent)``."""
-    if type(value) is not dict or not all(type(k) is str for k in value):
-        return _dumps(value, indent)
-    if not value:
-        return "{}"
-    inner = indent + "  "
-    items = [f"{inner}{encode_basestring_ascii(k)}: {write_value(k, v, inner)}"
-             for k, v in value.items()]
-    return "{\n" + ",\n".join(items) + "\n" + indent + "}"
-
-
-def _doc_value(key: str, value, indent: str) -> str:
-    if key == "nodes" and type(value) is list and value and \
-            all(type(x) is str for x in value):
-        inner = indent + "  "
-        return ("[\n" + inner + (",\n" + inner).join(map(encode_basestring_ascii, value))
-                + "\n" + indent + "]")
-    if key == "averages":
-        return _node_map(value, indent)
-    if key == "pointwise" and type(value) is list and value:
-        inner = indent + "  "
-        items = [inner + _dict(r, inner, _realization_value) for r in value]
-        return "[\n" + ",\n".join(items) + "\n" + indent + "]"
-    return _dumps(value, indent)
-
-
-def _realization_value(key: str, value, indent: str) -> str:
-    if key == "nodes":
-        return _node_map(value, indent)
-    return _dumps(value, indent)
-
-
-def _node_map(nodes, indent: str) -> str:
-    """A node map ``indent`` deep: from templates when every block
-    qualifies (see ``render_json``), else by ``json.dumps``."""
-    text = _uniform_node_map(nodes, indent) if type(nodes) is dict else None
-    return _dumps(nodes, indent) if text is None else text
-
-
 def _uniform_node_map(nodes: dict, indent: str) -> str | None:
-    """The whole node map's text, or None unless every block qualifies."""
+    """The text of a non-empty str-keyed node map, or None unless every
+    block qualifies (rule 1 of ``_write``)."""
     blocks = list(nodes.values())
-    if set(map(type, nodes)) != {str} or set(map(type, blocks)) != {dict}:
+    if set(map(type, blocks)) != {dict}:
         return None
     inner = indent + "  "
     codes = list(map(_BLOCK_LAYOUTS.get, map(tuple, blocks)))
@@ -205,22 +177,20 @@ def _uniform_node_map(nodes: dict, indent: str) -> str | None:
     return "{\n" + "".join(rows.ravel().tolist()) + "\n" + indent + "}"
 
 
-_BLOCK_KEYS = [keys for fields in (AVERAGE_FIELDS, POINTWISE_FIELDS)
-               for keys in (fields, fields + ("misinformative",))]
-
-
 #: Key tuple of a node block -> its row in ``_block_pieces``.
-_BLOCK_LAYOUTS = {keys: k for k, keys in enumerate(_BLOCK_KEYS)}
+_BLOCK_LAYOUTS = {keys: k for k, keys in enumerate(
+    fields + flag for fields in (AVERAGE_FIELDS, POINTWISE_FIELDS)
+    for flag in ((), ("misinformative",)))}
 
 
 @lru_cache(maxsize=None)
 def _block_pieces(indent: str) -> np.ndarray:
     """The fixed text of a node block ``indent`` deep, one row per key
-    tuple of ``_BLOCK_KEYS``: the text before each of the six values and
+    tuple of ``_BLOCK_LAYOUTS``: the text before each of the six values and
     the text after the last."""
     inner = indent + "  "
     rows = []
-    for keys in _BLOCK_KEYS:
+    for keys in _BLOCK_LAYOUTS:
         heads = [f",\n{inner}{encode_basestring_ascii(k)}: " for k in keys[:6]]
         heads[0] = "{" + heads[0][1:]
         flag = f',\n{inner}"misinformative": true' if len(keys) == 7 else ""
@@ -247,7 +217,7 @@ def _value_rows(lat: RedundancyLattice, block: np.ndarray, precision: int,
     names = map(lat.names.__getitem__, order)
     fmt = f"{{:.{precision}f}}".format
     return [[name, *map(fmt, vals)]
-            for name, vals in zip(names, _columns(block, order))]
+            for name, vals in zip(names, zip(*block[:, order].tolist()))]
 
 
 def render_average_table(avg: AverageDecomposition, precision: int = 4,

@@ -373,3 +373,26 @@ def test_one_kernel_call_per_evaluation(monkeypatch):
     G.optimize_atom_mechanism_fixed(mech, np.array([0.4, 0.25, 0.2, 0.15]),
                                     (2, 2, 2), enumerate_lattice(2).top, steps=3)
     assert calls == [4] * 4  # the support cells of the xor channel
+
+
+@pytest.mark.parametrize("analytic, fd", [
+    ([0.5, math.nan], [0.5, 0.1]),
+    ([0.5, 0.1], [0.5, math.nan]),
+    ([0.5, math.nan], [0.5, math.nan]),
+    ([math.inf, 0.1], [math.inf, 0.1]),
+    ([0.5, -math.inf], [0.5, 0.1]),
+])
+def test_fd_mismatch_fails_a_pair_that_is_not_finite(analytic, fd):
+    assert G.fd_mismatch(np.array(analytic), np.array(fd)) == math.inf
+
+
+def test_fd_mismatch_keeps_its_finite_values():
+    rng = np.random.default_rng(21)
+    a = rng.normal(size=40) * np.logspace(-4, 2, 40)
+    b = a + rng.normal(size=40) * 1e-6
+    worst = 0.0
+    for x, y in zip(a.tolist(), b.tolist()):
+        worst = max(worst, abs(x - y) / (1e-7 if abs(x) < 1e-2 else 1e-5 * abs(x)))
+    assert G.fd_mismatch(a, b) == worst
+    assert G.fd_mismatch(a, a) == 0.0
+    assert G.fd_mismatch(np.array([]), np.array([])) == 0.0

@@ -1,10 +1,13 @@
-"""Hostile inputs to the mechanism-fixed optimizer fail with the coordinate."""
+"""Hostile inputs to the gradient entry points fail with what is wrong:
+the mechanism-fixed optimizer names the coordinate, and every entry point
+checks the antichain and the pmf length against the grid."""
 
 import numpy as np
 import pytest
 
 from sxpid import grad as G
 from sxpid.builtins import xor_distribution
+from sxpid.dist import Realization
 from sxpid.lattice import enumerate_lattice
 
 
@@ -37,3 +40,35 @@ def test_non_finite_source_pmf_rejected(bad, shown):
     mech, _ = G.mechanism_from_distribution(xor_distribution())
     with pytest.raises(ValueError, match=f"source pmf coordinate 1 is {shown}$"):
         _run(mech, np.array([0.25, bad, 0.25, 0.25]))
+
+
+_R = Realization(t=0, s=(1, 1))
+_MECH, _Q = G.mechanism_from_distribution(xor_distribution())
+
+#: Each public gradient entry point as ``call(p, shape, alpha)``; the point
+#: based ones build their ``SimplexPoint`` from ``p``.
+ENTRY_POINTS = {
+    "grad_i_sx_parts": lambda p, sh, a: G.grad_i_sx_parts(G.SimplexPoint(sh, p), _R, a),
+    "grad_atom": lambda p, sh, a: G.grad_atom(G.SimplexPoint(sh, p), _R, a),
+    "grad_atom_via_closed_form":
+        lambda p, sh, a: G.grad_atom_via_closed_form(G.SimplexPoint(sh, p), _R, a),
+    "average_atom_value": lambda p, sh, a: G.average_atom_value(p, sh, a),
+    "grad_average": lambda p, sh, a: G.grad_average(G.SimplexPoint(sh, p), a),
+    "pointwise_value": lambda p, sh, a: G.pointwise_value(p, sh, _R, a, "pi", "net"),
+    "optimize_atom": lambda p, sh, a: G.optimize_atom(G.SimplexPoint(sh, p), a, steps=1),
+    "optimize_atom_mechanism_fixed":
+        lambda p, sh, a: G.optimize_atom_mechanism_fixed(
+            _MECH[:p.size], _Q, sh, a, steps=1),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_every_entry_point_checks_antichain_and_pmf_length(entry):
+    call = ENTRY_POINTS[entry]
+    shape = (2, 2, 2)
+    p = G.random_interior(shape, np.random.default_rng(5)).p
+    call(p, shape, enumerate_lattice(2).top)
+    with pytest.raises(ValueError, match="^antichain over 3 sources, grid has 2$"):
+        call(p, shape, enumerate_lattice(3).top)
+    with pytest.raises(ValueError, match="^pmf length does not match the outcome grid$"):
+        call(p[:7], shape, enumerate_lattice(2).top)

@@ -275,15 +275,12 @@ def test_strict_lower_matches_leq_matrix(n):
         assert np.array_equal(lat.strict_lower(j), want[want != j])
 
 
-def test_no_production_path_reads_leq_matrix(monkeypatch):
+def _run_production_paths(with_moebius: bool = True) -> None:
+    """Decompose, average, report and tabulate at n = 5; run the axiom
+    suite, the closed form, the optimizer and the closed-form gradient (and
+    ``moebius_invert`` if asked) at n = 2 and 3, on fresh lattices."""
     from sxpid import grad, lattice, measures, report
     from sxpid.dist import JointDistribution
-
-    def forbidden(self):
-        raise AssertionError("leq_matrix read on a production path")
-
-    monkeypatch.setattr(lattice, "_LATTICES", {})
-    monkeypatch.setattr(lattice.RedundancyLattice, "leq_matrix", property(forbidden))
 
     rng = np.random.default_rng(14)
     points = grid_points(2, (2,) * 5)
@@ -305,11 +302,35 @@ def test_no_production_path_reads_leq_matrix(monkeypatch):
         r = d.support[0]
         assert measures.axiom_suite(d, lat).passed
         measures.atom_via_closed_form(d, r, lat.top, "minus", lat)
-        lattice.moebius_invert(lat, {a: float(i) for i, a in enumerate(lat.nodes)},
-                               verify_tol=1e-9)
+        if with_moebius:
+            lattice.moebius_invert(lat, {a: float(i) for i, a in enumerate(lat.nodes)},
+                                   verify_tol=1e-9)
         point = grad.interior_mix(d, 0.1)
         grad.optimize_atom(point, lat.top, steps=2)
         grad.grad_atom_via_closed_form(point, r, lat.top)
+
+
+def test_no_production_path_reads_leq_matrix(monkeypatch):
+    from sxpid import lattice
+
+    def forbidden(self):
+        raise AssertionError("leq_matrix read on a production path")
+
+    monkeypatch.setattr(lattice, "_LATTICES", {})
+    monkeypatch.setattr(lattice.RedundancyLattice, "leq_matrix", property(forbidden))
+    _run_production_paths()
+
+
+def test_no_production_path_reads_strict_lower(monkeypatch):
+    # moebius_invert's downset re-summation is the one documented reader
+    from sxpid import lattice
+
+    def forbidden(self, j):
+        raise AssertionError("strict_lower read on a production path")
+
+    monkeypatch.setattr(lattice, "_LATTICES", {})
+    monkeypatch.setattr(lattice.RedundancyLattice, "strict_lower", forbidden)
+    _run_production_paths(with_moebius=False)
 
 
 # ---------------------------------------------------------------------------

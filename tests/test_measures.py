@@ -699,6 +699,15 @@ def test_corrupted_table_reports_edge():
     assert bad and bad[0][0] == "{1}{2}"
 
 
+def test_nan_value_reports_its_edges():
+    lat = enumerate_lattice(2)
+    values = {lat.nodes[j]: float(k) for k, j in enumerate(lat.topological_order)}
+    assert M.check_lattice_monotonicity(lat, values) == []
+    values[lat.top] = math.nan
+    bad = M.check_lattice_monotonicity(lat, values)
+    assert bad and all(hi == "{1,2}" and math.isnan(d) for _, hi, d in bad)
+
+
 def test_duplicate_invariance_xorduplicate():
     rep = M.duplicate_invariance_check(
         xorduplicate_distribution(), pair=(1, 3),

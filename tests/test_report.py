@@ -1,6 +1,7 @@
 """The JSON writer against ``json.dumps(indent=2)``, and the array-backed
 decompositions against a per-node reference evaluation."""
 
+import functools
 import json
 import math
 from fractions import Fraction
@@ -71,6 +72,11 @@ class StrSub(str):
     pass
 
 
+EXACT = {"i_plus": "1", "i_minus": "log2(3/2)", "pi_plus": "0", "pi_minus": "-1/2"}
+CYCLIC = {"n_sources": 1, "pointwise": [{"nodes": {}}]}
+CYCLIC["pointwise"][0]["nodes"]["{1}"] = CYCLIC
+
+
 HAND_MADE = [
     {"n_sources": 2, "nodes": ["{1}{2}", "{α}"], "averages": {
         "{1}{2}": _block(AVG, FINITE, misinformative=True),
@@ -139,6 +145,24 @@ HAND_MADE = [
     {"averages": {"a": _block(AVG, FINITE), "nan": _block(AVG, FINITE[:5] + [math.nan])},
      "pointwise": [{"nodes": {"a": _block(PW, FINITE),
                               "inf": _block(PW, [-math.inf] + FINITE[1:])}}]},
+    # paths follow the value's shape, not its key: a node map under an
+    # unknown key and two levels deep, a list under "averages", lists of
+    # str under other keys and inside a nested list
+    {"extra": {"deeper": {"{1}": _block(AVG, FINITE),
+                          "{2}": _block(PW, [REPEATED] * 6, misinformative=True)}}},
+    {"averages": [_block(AVG, FINITE), {"{1}": _block(AVG, FINITE)}, 1.5, "x"]},
+    {"names": ["{1}", "é"], "nested": [["a", "b"], [], ["c", 1], [["d"]]],
+     "pointwise": [{"s": ["0", "1"], "tags": ["x"]}]},
+    # a str-subclass key in an otherwise qualifying node map
+    {"averages": {"a": _block(AVG, FINITE), StrSub("b"): _block(AVG, FINITE)}},
+    # pointwise blocks with exact sub-blocks, as n <= 3 reports carry them
+    {"pointwise": [{"t": "0", "s": ["0", "1"], "weight": 0.25, "weight_exact": "1/4",
+                    "nodes": {
+                        "{1}{2}": _block(PW, FINITE, misinformative=True, exact=EXACT),
+                        "{1}": _block(PW, [REPEATED] * 6, exact=EXACT)}}]},
+    # cyclic, and nested deeper than the writer recurses
+    CYCLIC,
+    functools.reduce(lambda inner, _: [inner], range(600), ["deep"]),
 ]
 
 
@@ -146,8 +170,8 @@ HAND_MADE = [
 def test_render_json_equals_json_dumps_on_hand_made_docs(doc):
     try:
         want = json.dumps(doc, indent=2)
-    except TypeError:  # a Fraction is not JSON; both must refuse it
-        with pytest.raises(TypeError):
+    except (TypeError, ValueError) as e:  # a Fraction, a cycle: both refuse
+        with pytest.raises(type(e), match=str(e)):
             report.render_json(doc)
         return
     assert report.render_json(doc) == want
