@@ -200,7 +200,7 @@ def _node_index(p: np.ndarray, shape: tuple[int, ...], alpha: Antichain) -> int:
     if alpha.n != len(shape) - 1:
         raise ValueError(f"antichain over {alpha.n} sources, grid has "
                          f"{len(shape) - 1}")
-    if np.size(p) != int(np.prod(shape)):
+    if np.size(p) != math.prod(shape):
         raise ValueError("pmf length does not match the outcome grid")
     return enumerate_lattice(len(shape) - 1).index(alpha)
 
