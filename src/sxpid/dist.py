@@ -7,7 +7,9 @@ over floats, so no cancellation error can reach the logarithms taken
 downstream. ``union_event_masses`` is the event-mass kernel behind every
 decomposition and gradient, for many realizations at once: it adds the
 masses in point order into one bin per agreement mask, then each union sums
-its bins in one 2^n-term product per realization. Exact masses enter it as
+its bins in one 2^n-term product per realization (``event_plan`` makes the
+bins of the points and realizations, ``plan_event_masses`` adds the
+masses; a gradient keeps the plan across evaluations). Exact masses enter it as
 integer numerators (``mass_array``), so their sums are exact; float sums
 are not correctly rounded (off by up to about K + 2^n units in the last
 place for K masses). ``event_probability`` and ``mass_where`` scan the
@@ -262,6 +264,53 @@ def event_probability(d: JointDistribution, events: Sequence[CylinderEvent],
     raise DistributionError(f"unknown mode {mode!r}")
 
 
+@dataclass(frozen=True)
+class EventPlan:
+    """What ``union_event_masses`` reads of the points and realizations
+    alone, for R realization rows over K points (``event_plan``)."""
+
+    #: agree[r, k]: the mask of sources on which point k agrees with row r.
+    agree: np.ndarray
+    #: same_target[r, k]: point k has row r's target symbol.
+    same_target: np.ndarray
+    #: bins[r, k] = r * 2^n + agree[r, k]: the mask bin in one flat R x 2^n table.
+    bins: np.ndarray
+
+
+def event_plan(points: np.ndarray, at: np.ndarray) -> EventPlan:
+    """The agreement masks, target matches and mask bins of ``points`` at
+    each realization row of ``at`` (rows as in ``union_event_masses``)."""
+    n = at.shape[1] - 1
+    agree = (points[None, :, 1:] == at[:, None, 1:]) @ (1 << np.arange(n))
+    bins = agree + (np.arange(len(at)) << n)[:, None]
+    return EventPlan(agree, points[None, :, 0] == at[:, None, 0], bins)
+
+
+def plan_event_masses(up_sets: np.ndarray, plan: EventPlan, masses: np.ndarray,
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """``union_event_masses``'s sums and P(t) for the masses of a plan's points.
+
+    ``up_sets`` is the boolean up-set matrix or a copy already of the
+    masses' dtype, which is read without a cast. Masses are added into
+    their bins in point order: float masses by ``np.bincount``, which adds
+    in the order of ``np.add.at``, the others by ``np.add.at``.
+    """
+    in_target = np.where(plan.same_target, masses, 0)
+    shape = (len(plan.bins), up_sets.shape[1], 2)
+    if masses.dtype == np.float64:
+        bins, size = plan.bins.ravel(), shape[0] * shape[1]
+        hist = np.stack([np.bincount(bins, weights=x.ravel(), minlength=size)
+                         for x in (np.broadcast_to(masses, in_target.shape),
+                                   in_target)], axis=-1).reshape(shape)
+    else:
+        hist = np.zeros(shape, dtype=masses.dtype)
+        rows = np.arange(shape[0])[:, None]
+        np.add.at(hist[..., 0], (rows, plan.agree), masses)
+        np.add.at(hist[..., 1], (rows, plan.agree), in_target)
+    sums = np.matmul(up_sets.astype(masses.dtype, copy=False), hist)
+    return sums, in_target.sum(axis=1)
+
+
 def union_event_masses(up_sets: np.ndarray, points: np.ndarray,
                        masses: np.ndarray, at: np.ndarray,
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -273,19 +322,15 @@ def union_event_masses(up_sets: np.ndarray, points: np.ndarray,
     (the sources on which a point agrees with the realization) of the points
     inside union u (``lattice.coalition_up_sets``), so a union's mass is a
     sum of mask bins, and no realization's sums depend on the others.
+    It is ``event_plan`` followed by ``plan_event_masses``; a caller that
+    evaluates many masses on the same points and rows keeps the plan.
 
     Returns ``(agree, sums, p_t)``: ``agree[r, k]`` is point k's mask at
     realization r, ``sums[r, u]`` is (mass of union u, mass of union u within
     the target event T = t_r) and ``p_t[r]`` is the mass of T.
     """
-    agree = (points[None, :, 1:] == at[:, None, 1:]) @ (1 << np.arange(at.shape[1] - 1))
-    in_target = np.where(points[None, :, 0] == at[:, None, 0], masses, 0)
-    hist = np.zeros((len(at), up_sets.shape[1], 2), dtype=masses.dtype)
-    rows = np.arange(len(at))[:, None]
-    np.add.at(hist[..., 0], (rows, agree), masses)
-    np.add.at(hist[..., 1], (rows, agree), in_target)
-    sums = np.matmul(up_sets.astype(masses.dtype), hist)
-    return agree, sums, in_target.sum(axis=1)
+    plan = event_plan(points, at)
+    return (plan.agree, *plan_event_masses(up_sets, plan, masses))
 
 
 def regroup(d: JointDistribution, key: Callable[[Realization], object]) -> dict:

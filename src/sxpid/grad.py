@@ -30,14 +30,26 @@ The route is exact at ties, where the inclusion-exclusion closed form
 (``grad_atom_via_closed_form``, kept as the independent check) has no
 stable child order.
 
-Numerics. Event masses come from one ``dist.union_event_masses`` call
-for all realizations of an evaluation (cell masses binned by agreement
-mask in grid order, one 2^n-term product per realization; its masks are
-the gather indices above), ``lattice.log_parts`` takes their logs as for
-``measures``, and one ``invert_array`` call inverts all i-parts; no value
-depends on the other realizations, and averages are summed sequentially
-in grid order. Gradients are contracted in the agreement basis, so they
-differ from inverting the gradient rows in the order of summation only.
+Plans. What an evaluation reads of the grid alone is made on the first
+evaluation and kept: per grid shape and cell set, the kernel's plan
+(``dist.event_plan``: agreement masks, target matches and mask bins, which
+are also the gather indices above; 8 kept), and per node, its downset,
+the inversion passes that write into it (``lattice.downset_passes``) and
+its ``moebius_row`` (16 kept). A plan holds nothing of the pmf. The
+largest node plan at n = 5, the top node's, is 0.69 MB, so node plans
+hold at most 11 MB; a grid plan holds 17 bytes per (realization, cell).
+
+Numerics. Event masses come from one ``dist.plan_event_masses`` call on
+the plan for all realizations of an evaluation (cell masses binned by
+agreement mask in grid order, one 2^n-term product per realization, with
+the lattice's ``float_up_sets``), ``lattice.log_parts`` takes the logs of
+the downset's masses as for ``measures``, and one ``run_passes`` call
+inverts the downset's i-parts for all realizations with the subtractions
+``invert_array`` makes there, so the bits are those of inverting the
+whole lattice; no value depends on the other realizations, and averages
+are summed sequentially in grid order. Gradients are contracted in the
+agreement basis, so they differ from inverting the gradient rows in the
+order of summation only.
 """
 
 from __future__ import annotations
@@ -49,9 +61,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dist import JointDistribution, Realization, union_event_masses
+from .dist import (EventPlan, JointDistribution, Realization, event_plan,
+                   plan_event_masses)
 from .lattice import (Antichain, BoundaryError, closed_form_plan,
-                      enumerate_lattice, invert_array, log_parts, moebius_row)
+                      downset_passes, enumerate_lattice, log_parts,
+                      moebius_row, run_passes)
 
 _LN2 = math.log(2.0)
 
@@ -123,18 +137,47 @@ def _grid_points(shape: tuple[int, ...]) -> np.ndarray:
     return np.indices(shape).reshape(len(shape), -1).T
 
 
-def _event_masses(p: np.ndarray, shape: tuple[int, ...], real: np.ndarray,
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The kernel's output at the realization rows ``real`` over the grid
-    cells, under the raw coordinates; every event must have positive mass."""
-    lat = enumerate_lattice(len(shape) - 1)
-    agree, sums, p_t = union_event_masses(lat.up_sets, _grid_points(shape), p, real)
+def _read_only(*arrays: np.ndarray) -> None:
+    """Cached plans are shared by every later evaluation: none may write them."""
+    for a in arrays:
+        a.flags.writeable = False
+
+
+@lru_cache(maxsize=8)
+def _grid_plan(shape: tuple[int, ...], cells: bytes) -> EventPlan:
+    """The kernel's plan for the realizations on the grid cells ``cells``
+    (the bytes of an intp vector) over every cell of the grid."""
+    points = _grid_points(shape)
+    plan = event_plan(points, points[np.frombuffer(cells, dtype=np.intp)])
+    _read_only(plan.agree, plan.same_target, plan.bins)
+    return plan
+
+
+@lru_cache(maxsize=16)
+def _node_plan(n: int, j: int) -> tuple[np.ndarray, tuple, np.ndarray]:
+    """Node j's ``downset_passes`` and its ``moebius_row``."""
+    lat = enumerate_lattice(n)
+    rows, passes = downset_passes(lat, j)
+    mu = moebius_row(lat, j)
+    _read_only(rows, mu, *(x for pair in passes for x in pair))
+    return rows, tuple(passes), mu
+
+
+def _event_masses(p: np.ndarray, shape: tuple[int, ...], cells: Sequence[int],
+                  ) -> tuple[EventPlan, np.ndarray, np.ndarray]:
+    """The plan, sums and P(t) of the kernel at the realizations on
+    ``cells`` over the grid, under the raw coordinates ``p``; every event
+    must have positive mass."""
+    cells = np.asarray(cells, dtype=np.intp)
+    plan = _grid_plan(shape, cells.tobytes())
+    sums, p_t = plan_event_masses(
+        enumerate_lattice(len(shape) - 1).float_up_sets, plan, p)
     bad = (sums <= 0).any(axis=(1, 2))
     if bad.any():
-        t, *s = real[bad.argmax()].tolist()
+        t, *s = _grid_points(shape)[cells[bad.argmax()]].tolist()
         raise BoundaryError(f"an event at {Realization(t, tuple(s))} has "
                             "nonpositive mass")
-    return agree, sums, p_t
+    return plan, sums, p_t
 
 
 def _check_which(which: str) -> None:
@@ -160,21 +203,20 @@ def _evaluate(p: np.ndarray, shape: tuple[int, ...], cells: np.ndarray, j: int,
     """
     _check_which(which)
     lat = enumerate_lattice(len(shape) - 1)
-    points = _grid_points(shape)
-    real = points[cells]
-    agree, sums, p_t = _event_masses(p, shape, real)
-    p_e, p_te = sums.transpose(2, 1, 0)
-    parts = np.hstack([x.T for x in log_parts(sums, p_t)])
+    plan, sums, p_t = _event_masses(p, shape, cells)
     if quantity == "pi":
-        parts = invert_array(lat, parts)
-    w = moebius_row(lat, j) if quantity == "pi" else np.eye(1, len(lat), j)[0]
+        rows, passes, w = _node_plan(lat.n, j)
+    else:
+        rows, passes, w = [j], (), np.eye(1, len(lat), j)[0]
+    # downset rows by (i+, i-) of each realization, C-ordered for the passes
+    parts = np.vstack(log_parts(sums.take(rows, axis=1), p_t)).T.copy()
+    plus, minus = np.split(run_passes(parts, passes)[0], 2)
 
-    up = lat.up_sets.astype(float)
-    rr = np.arange(len(cells))[:, None]
-    d_plus = (-(w[:, None] / p_e).T @ up / _LN2)[rr, agree]
+    p_e, p_te = sums.transpose(2, 1, 0)
+    up = lat.float_up_sets
+    d_plus = (-(w[:, None] / p_e).T @ up / _LN2).take(plan.bins)
     w_minus = -(w[:, None] / p_te).T @ up / _LN2 + (w.sum() / (p_t * _LN2))[:, None]
-    d_minus = np.where(points[None, :, 0] == real[:, None, 0], w_minus[rr, agree], 0.0)
-    plus, minus = np.split(parts[j], 2)
+    d_minus = np.where(plan.same_target, w_minus.take(plan.bins), 0.0)
     if which == "net":
         return plus - minus, d_plus - d_minus
     return (plus, d_plus) if which == "plus" else (minus, d_minus)
@@ -237,10 +279,10 @@ def grad_atom_via_closed_form(point: SimplexPoint, r: Realization,
                        for w in ("plus", "minus"))
         return GradientRecord("pi_net", alpha, r, point.shape, plus - minus)
     lat = enumerate_lattice(point.n_sources)
-    agree, (sums,), (p_t,) = _event_masses(point.p, point.shape,
-                                            np.array([(r.t, *r.s)]))
-    target = _grid_points(point.shape)[:, 0] == r.t
-    ind = lat.up_sets[:, agree[0]]
+    plan, (sums,), (p_t,) = _event_masses(point.p, point.shape,
+                                          [_cell(point.shape, r)])
+    target = plan.same_target[0]
+    ind = lat.up_sets[:, plan.agree[0]]
     ind = (ind if which == "plus" else ind & target).astype(float)
     mass = sums[:, 0 if which == "plus" else 1]
     kids = lat.children_table[j]
@@ -266,6 +308,9 @@ def _average_and_grad(p: np.ndarray, shape: tuple[int, ...], alpha: Antichain,
     """Mass-weighted atom average over the grid (or a support mask) and its
     gradient, weight term plus measure term, from one evaluation."""
     j = _node_index(p, shape, alpha)
+    if support is not None and np.shape(support) != (p.size,):
+        raise ValueError(f"support mask of shape {np.shape(support)} does not "
+                         f"match the {p.size} cells of the outcome grid")
     cells = np.arange(p.size) if support is None else np.flatnonzero(support)
     values, rows = _evaluate(p, shape, cells, j, "pi", which)
     total = 0.0

@@ -261,6 +261,12 @@ class RedundancyLattice:
         return (self._up_keys[:, None] >> bits & np.uint64(1)).astype(bool)
 
     @cached_property
+    def float_up_sets(self) -> np.ndarray:
+        """``up_sets`` as floats, made on first read (1.9 MB at n = 5): the
+        event-mass kernel reads it uncast, as do gradient contractions."""
+        return self.up_sets.astype(float)
+
+    @cached_property
     def leq_matrix(self) -> np.ndarray:
         """Boolean matrix L with L[i, j] = (nodes[i] <= nodes[j]); an oracle."""
         # i <= j iff the up-set of j is a subset of the up-set of i; rows in
@@ -365,19 +371,63 @@ def enumerate_lattice(n: int) -> RedundancyLattice:
 # Moebius inversion and the inclusion-exclusion closed form.
 # ---------------------------------------------------------------------------
 
+def run_passes(pi: np.ndarray, passes: Sequence[tuple[np.ndarray, np.ndarray]],
+               ) -> np.ndarray:
+    """Subtract row ``lower`` from row ``upper`` of ``pi`` for each pair of
+    each pass, in place and in pass order, and return ``pi``.
+
+    Within a pass the rows are read before any is written, so a pass is
+    elementwise: each column of a matrix gets the bits it gets alone. A
+    matrix's rows are gathered with ``take`` and a vector's entries by
+    fancy indexing, the faster way for each; the values are the same.
+    """
+    for upper, lower in passes:
+        if pi.ndim == 1:
+            pi[upper] -= pi[lower]
+        else:
+            rows = pi.take(upper, axis=0)
+            rows -= pi.take(lower, axis=0)
+            pi[upper] = rows
+    return pi
+
+
 def invert_array(lattice: RedundancyLattice, v: np.ndarray) -> np.ndarray:
     """Moebius inversion: pi with sum(pi[b] for b <= a) == v[a] for every a.
 
     ``v`` is indexed like ``lattice.nodes``: a vector, or a matrix whose rows
     are nodes, each column inverted on its own. The inversion runs the
-    ``moebius_passes``, each an elementwise subtraction of whole rows, so a
-    column's result does not depend on the other columns, and applied to
-    the identity matrix it gives the Moebius function, mu(k, j) at [j, k].
+    ``moebius_passes`` (``run_passes``), each an elementwise subtraction of
+    whole rows, so a column's result does not depend on the other columns,
+    and applied to the identity matrix it gives the Moebius function,
+    mu(k, j) at [j, k].
     """
-    pi = np.array(v, dtype=float)
+    return run_passes(np.array(v, dtype=float, order="C"), lattice.moebius_passes)
+
+
+def downset_passes(lattice: RedundancyLattice, j: int,
+                   ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    """Node j's downset and the part of the inversion that writes into it.
+
+    Returns ``(rows, passes)``: the indices of the nodes below or equal to
+    j, j first, and the ``moebius_passes`` pairs whose upper node is in the
+    downset, as positions in ``rows``, in run order. A pair's lower node is
+    covered by its upper one, so it is in the downset too, and pairs whose
+    upper node is outside never write a downset row: ``run_passes(v[rows],
+    passes)[0]`` makes the subtractions of ``invert_array(lattice, v)[j]``
+    in the same order, so it has the same bits.
+    """
+    keys = lattice._up_keys
+    below = (keys[j] & ~keys) == 0
+    below[j] = False
+    rows = np.concatenate([[j], np.flatnonzero(below)])
+    at = np.full(len(keys), -1)
+    at[rows] = np.arange(len(rows))
+    passes = []
     for upper, lower in lattice.moebius_passes:
-        pi[upper] -= pi[lower]
-    return pi
+        inside = at[upper] >= 0
+        if inside.any():
+            passes.append((at[upper[inside]], at[lower[inside]]))
+    return rows, passes
 
 
 def moebius_row(lattice: RedundancyLattice, j: int) -> np.ndarray:

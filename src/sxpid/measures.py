@@ -279,7 +279,9 @@ def pointwise_decomposition(d: JointDistribution, r: Realization,
                             ) -> PointwiseDecomposition:
     """Evaluate i+/i- at every node and Moebius-invert both lattices."""
     lat = lattice or enumerate_lattice(d.n_sources)
-    sums, p_t, den = _union_masses(d, [r], lat.up_sets)
+    # float masses read the lattice's float copy of the up-sets, uncast
+    up = lat.float_up_sets if d.mass_array[1] is None else lat.up_sets
+    sums, p_t, den = _union_masses(d, [r], up)
     (ip,), (im,) = log_parts(sums, p_t, den)
     # one vector each: indexing a vector is several times faster than
     # indexing the rows of an N x 2 matrix, and the bits are the same

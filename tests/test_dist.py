@@ -12,8 +12,9 @@ from helpers import bits, rational_distribution, rational_weights
 from sxpid.builtins import builtin_distribution
 from sxpid.dist import (Alphabet, CylinderEvent, DistributionError,
                         DistributionFormatError, JointDistribution, Realization,
-                        dump_csv, dump_json, event_probability,
-                        load_distribution, marginal, union_event_masses)
+                        dump_csv, dump_json, event_plan, event_probability,
+                        load_distribution, marginal, plan_event_masses,
+                        union_event_masses)
 from sxpid.lattice import enumerate_lattice
 
 XOR_CSV = "t,s1,s2,p\n0,0,0,0.25\n1,0,1,0.25\n1,1,0,0.25\n0,1,1,0.25\n"
@@ -370,3 +371,27 @@ def test_event_masses_do_not_depend_on_the_batch(n):
                       for i in range(0, len(points), size)]
             for got, want in zip(zip(*chunks), whole):
                 assert np.array_equal(np.concatenate(got), want)
+
+
+@pytest.mark.parametrize("n", [2, 4, 5])
+def test_float_bins_add_in_the_order_of_add_at(n):
+    # float masses are binned by np.bincount, exact ones by np.add.at: both
+    # add each bin's masses in point order, so the float bits are those of
+    # np.add.at; a float copy of the up-sets gives the bits of the bool one
+    rng = np.random.default_rng(50 + n)
+    grid = np.indices((3,) + (2,) * n).reshape(n + 1, -1).T
+    points = grid[rng.permutation(len(grid))]
+    masses = rng.exponential(size=len(points)) ** 3
+    lat = enumerate_lattice(n)
+    at = points[rng.choice(len(points), size=9, replace=False)]
+    plan = event_plan(points, at)
+    hist = np.zeros((len(at), 1 << n, 2))
+    rows = np.arange(len(at))[:, None]
+    np.add.at(hist[..., 0], (rows, plan.agree), masses)
+    np.add.at(hist[..., 1], (rows, plan.agree),
+              np.where(plan.same_target, masses, 0.0))
+    want = np.matmul(lat.up_sets.astype(float), hist)
+    for up_sets in (lat.up_sets, lat.float_up_sets):
+        assert plan_event_masses(up_sets, plan, masses)[0].tobytes() == want.tobytes()
+    agree, sums, _ = union_event_masses(lat.up_sets, points, masses, at)
+    assert np.array_equal(agree, plan.agree) and sums.tobytes() == want.tobytes()

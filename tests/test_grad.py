@@ -1,11 +1,16 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sxpid.builtins import xor_distribution
-from sxpid.dist import Realization, union_event_masses
+from sxpid.dist import (Realization, event_plan, plan_event_masses,
+                        union_event_masses)
 from sxpid.lattice import (Antichain, BoundaryError, enumerate_lattice,
                           invert_array)
 from sxpid import grad as G
@@ -352,27 +357,36 @@ def test_unknown_which_rejected_by_every_entry_point():
 
 
 def test_one_kernel_call_per_evaluation(monkeypatch):
-    calls = []
+    """One mass step of the kernel per evaluation; its plan step runs once
+    per grid and cell set, on the first evaluation."""
+    calls, plans = [], []
 
-    def counted(*args):
-        calls.append(len(args[3]))
-        return union_event_masses(*args)
+    def counted(up_sets, plan, masses):
+        calls.append(len(plan.bins))
+        return plan_event_masses(up_sets, plan, masses)
 
-    monkeypatch.setattr(G, "union_event_masses", counted)
+    def planned(points, at):
+        plans.append(len(at))
+        return event_plan(points, at)
+
+    monkeypatch.setattr(G, "plan_event_masses", counted)
+    monkeypatch.setattr(G, "event_plan", planned)
+    G._grid_plan.cache_clear()
     pt = rand_point(3, np.random.default_rng(15))
     lat = enumerate_lattice(3)
     alpha = lat.node_by_name("{1,2}{3}")
     G.grad_average(pt, alpha)
     G.average_atom_value(pt.p, pt.shape, alpha)
-    assert calls == [pt.p.size] * 2
+    assert calls == [pt.p.size] * 2 and plans == [pt.p.size]
     calls.clear()
     G.optimize_atom(pt, alpha, steps=3)
-    assert calls == [pt.p.size] * 4
+    assert calls == [pt.p.size] * 4 and plans == [pt.p.size]
     mech, _ = G.mechanism_from_distribution(xor_distribution())
     calls.clear()
     G.optimize_atom_mechanism_fixed(mech, np.array([0.4, 0.25, 0.2, 0.15]),
                                     (2, 2, 2), enumerate_lattice(2).top, steps=3)
     assert calls == [4] * 4  # the support cells of the xor channel
+    assert plans == [pt.p.size, 4]
 
 
 @pytest.mark.parametrize("analytic, fd", [
@@ -396,3 +410,78 @@ def test_fd_mismatch_keeps_its_finite_values():
     assert G.fd_mismatch(a, b) == worst
     assert G.fd_mismatch(a, a) == 0.0
     assert G.fd_mismatch(np.array([]), np.array([])) == 0.0
+
+
+def _fresh(p, shape, cells, j, quantity, which):
+    """``_evaluate`` with empty plan caches."""
+    G._grid_plan.cache_clear()
+    G._node_plan.cache_clear()
+    return G._evaluate(p, shape, cells, j, quantity, which)
+
+
+def _same_bits(a, b):
+    return all(x.tobytes() == y.tobytes() and x.shape == y.shape for x, y in zip(a, b))
+
+
+def test_reused_plans_give_the_bits_of_fresh_ones():
+    # the plans capture nothing of the pmf: another p on the same grid and
+    # cells gets the bits of an evaluation that builds its plans anew
+    rng = np.random.default_rng(41)
+    shape = (3, 2, 2, 2)
+    p1, p2 = (G.random_interior(shape, rng).p for _ in range(2))
+    lat = enumerate_lattice(3)
+    for cells in (np.arange(p1.size), np.sort(rng.choice(p1.size, 14, replace=False))):
+        for j in (lat.index(lat.node_by_name("{1,2}{3}")), lat.index(lat.top)):
+            for quantity in ("i", "pi"):
+                for which in ("plus", "minus", "net"):
+                    want = _fresh(p2, shape, cells, j, quantity, which)
+                    _fresh(p1, shape, cells, j, quantity, which)
+                    hits = G._grid_plan.cache_info().hits
+                    got = G._evaluate(p2, shape, cells, j, quantity, which)
+                    assert G._grid_plan.cache_info().hits == hits + 1
+                    assert _same_bits(got, want)
+    plan = G._grid_plan(shape, np.arange(p1.size, dtype=np.intp).tobytes())
+    rows, _, mu = G._node_plan(3, j)
+    assert not any(a.flags.writeable for a in (plan.agree, plan.same_target,
+                                               plan.bins, rows, mu))
+
+
+def test_plan_keys_tell_cells_dtype_and_grid_shape_apart():
+    two = np.array([1, 0], dtype=np.int32)
+    one = np.array([1], dtype=np.int64)
+    assert two.tobytes() == one.tobytes()
+    p = G.random_interior((2, 2, 2), np.random.default_rng(42)).p
+    cases = [((2, 2, 2), two), ((2, 2, 2), one), ((2, 4), one), ((4, 2), one)]
+    want = [_fresh(p, shape, cells, 0, "pi", "net") for shape, cells in cases]
+    G._grid_plan.cache_clear()
+    got = [G._evaluate(p, shape, cells, 0, "pi", "net") for shape, cells in cases]
+    assert [len(v) for v, _ in got] == [2, 1, 1, 1]
+    assert all(_same_bits(g, w) for g, w in zip(got, want))
+    assert not _same_bits(got[2], got[3])
+
+
+def test_plan_caches_are_bounded():
+    for cache in (G._grid_points, G._grid_plan, G._node_plan):
+        assert cache.cache_info().maxsize is not None
+    # the top node's plan holds every downset row and pass pair, so it is
+    # the largest; the module docstring states 16 of them at n = 5
+    lat = enumerate_lattice(5)
+    rows, passes, mu = G._node_plan(5, lat.index(lat.top))
+    size = rows.nbytes + mu.nbytes + sum(u.nbytes + d.nbytes for u, d in passes)
+    assert size <= 0.7e6
+    assert G._node_plan.cache_info().maxsize * size <= 11.1e6
+
+
+def test_importing_builds_no_lattice_and_no_plan():
+    # plans are made on the first evaluation, never at import
+    code = ("import sxpid, sxpid.grad, sxpid.cli\n"
+            "from sxpid import grad, lattice\n"
+            "assert not lattice._LATTICES, lattice._LATTICES\n"
+            "for cache in (grad._grid_points, grad._grid_plan, grad._node_plan):\n"
+            "    assert cache.cache_info().currsize == 0, cache\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(G.__file__).parents[1]), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr

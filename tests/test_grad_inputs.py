@@ -72,3 +72,13 @@ def test_every_entry_point_checks_antichain_and_pmf_length(entry):
         call(p, shape, enumerate_lattice(3).top)
     with pytest.raises(ValueError, match="^pmf length does not match the outcome grid$"):
         call(p[:7], shape, enumerate_lattice(2).top)
+
+
+@pytest.mark.parametrize("size", [5, 12])
+def test_support_mask_of_the_wrong_length_rejected(size):
+    pt = G.interior_mix(xor_distribution(), 0.2)
+    top = enumerate_lattice(2).top
+    G.average_atom_value(pt.p, pt.shape, top, support=np.ones(8, bool))
+    with pytest.raises(ValueError, match=rf"^support mask of shape \({size},\) does "
+                                         "not match the 8 cells of the outcome grid$"):
+        G.average_atom_value(pt.p, pt.shape, top, support=np.ones(size, bool))

@@ -12,9 +12,9 @@ from sxpid.dist import Alphabet
 from sxpid.lattice import (Antichain, BoundaryError, LatticeError, NODE_COUNTS,
                            RedundancyLattice,
                            closed_form_atom, closed_form_plan, coalition_up_sets,
-                           enumerate_lattice, invert_array, leq, log_parts,
-                           meet, moebius_invert, moebius_row,
-                           normalize_antichain, parse_node_name)
+                           downset_passes, enumerate_lattice, invert_array, leq,
+                           log_parts, meet, moebius_invert, moebius_row,
+                           normalize_antichain, parse_node_name, run_passes)
 from sxpid.report import display_order
 
 
@@ -392,6 +392,55 @@ def test_invert_array_matrix_is_columnwise_bit_for_bit(n):
     assert got.shape == V.shape
     for c in range(V.shape[1]):
         assert got[:, c].tobytes() == invert_array(lat, V[:, c]).tobytes()
+
+
+def _vector_passes(lat, v):
+    """Oracle: the inversion's subtractions on one vector, in place."""
+    pi = np.array(v, dtype=float)
+    for upper, lower in lat.moebius_passes:
+        pi[upper] -= pi[lower]
+    return pi
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_matrix_passes_equal_vector_passes_bit_for_bit(n):
+    # 2R columns as a gradient evaluation inverts them, in either memory order
+    lat = enumerate_lattice(n)
+    V = np.random.default_rng(20 + n).standard_normal((2 << n, len(lat))).T
+    for M in (V, np.ascontiguousarray(V)):
+        got = invert_array(lat, M)
+        for c in range(M.shape[1]):
+            assert got[:, c].tobytes() == _vector_passes(lat, M[:, c]).tobytes()
+
+
+def _check_downset_passes(lat, j, vectors):
+    rows, passes = downset_passes(lat, j)
+    assert rows[0] == j
+    assert sorted(rows.tolist()) == np.flatnonzero(lat.leq_matrix[:, j]).tolist()
+    for v, full in vectors:
+        got = run_passes(np.array(v[rows], order="C"), passes)
+        assert got.tobytes() == full[rows].tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_downset_passes_give_the_bits_of_the_whole_inversion(n):
+    lat = enumerate_lattice(n)
+    rng = np.random.default_rng(30 + n)
+    vectors = [rng.uniform(-5, 5, len(lat)),
+               rng.standard_normal((len(lat), 2 << n))]
+    vectors = [(v, invert_array(lat, v)) for v in vectors]
+    for j in range(len(lat)):
+        _check_downset_passes(lat, j, vectors)
+
+
+def test_downset_passes_give_the_bits_of_the_whole_inversion_n5():
+    lat = enumerate_lattice(5)
+    rng = np.random.default_rng(35)
+    vectors = [rng.uniform(-5, 5, len(lat)), rng.standard_normal((len(lat), 64))]
+    vectors = [(v, invert_array(lat, v)) for v in vectors]
+    sample = rng.choice(len(lat), size=12, replace=False).tolist()
+    for j in sample + [lat.index(lat.bottom), lat.index(lat.top)]:
+        _check_downset_passes(lat, j, vectors)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
