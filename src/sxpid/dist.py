@@ -7,9 +7,9 @@ over floats, so no cancellation error can reach the logarithms taken
 downstream. ``union_event_masses`` is the event-mass kernel behind every
 decomposition and gradient, for many realizations at once: it adds the
 masses in point order into one bin per agreement mask, then each union sums
-its bins in one 2^n-term product per realization (``event_plan`` makes the
-bins of the points and realizations, ``plan_event_masses`` adds the
-masses; a gradient keeps the plan across evaluations). Exact masses enter it as
+its bins in one 2^n-term product per realization (``event_plan`` bins the
+points at the realizations, ``plan_event_masses`` adds the masses; a
+gradient keeps the plan across evaluations). Exact masses enter it as
 integer numerators (``mass_array``), so their sums are exact; float sums
 are not correctly rounded (off by up to about K + 2^n units in the last
 place for K masses). ``event_probability`` and ``mass_where`` scan the
@@ -295,6 +295,9 @@ def plan_event_masses(up_sets: np.ndarray, plan: EventPlan, masses: np.ndarray,
     their bins in point order: float masses by ``np.bincount``, which adds
     in the order of ``np.add.at``, the others by ``np.add.at``.
     """
+    if up_sets.dtype not in (bool, masses.dtype):
+        # a float copy would turn exact Python-int sums into floats
+        raise TypeError(f"{up_sets.dtype} up-sets for {masses.dtype} masses")
     in_target = np.where(plan.same_target, masses, 0)
     shape = (len(plan.bins), up_sets.shape[1], 2)
     if masses.dtype == np.float64:

@@ -395,3 +395,6 @@ def test_float_bins_add_in_the_order_of_add_at(n):
         assert plan_event_masses(up_sets, plan, masses)[0].tobytes() == want.tobytes()
     agree, sums, _ = union_event_masses(lat.up_sets, points, masses, at)
     assert np.array_equal(agree, plan.agree) and sums.tobytes() == want.tobytes()
+    exact = np.array([int(m * 2**60) * 3**40 for m in masses], dtype=object)
+    with pytest.raises(TypeError, match="^float64 up-sets for object masses$"):
+        plan_event_masses(lat.float_up_sets, plan, exact)
