@@ -385,32 +385,16 @@ def test_invert_array_matches_downset_recursion(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_invert_array_matrix_is_columnwise_bit_for_bit(n):
+    # matrix rows are gathered with take, vector entries by fancy indexing;
+    # in either memory order, since callers pass transposes
     lat = enumerate_lattice(n)
     rng = np.random.default_rng(10 + n)
     V = rng.standard_normal((len(lat), 7))
-    got = invert_array(lat, V)
-    assert got.shape == V.shape
-    for c in range(V.shape[1]):
-        assert got[:, c].tobytes() == invert_array(lat, V[:, c]).tobytes()
-
-
-def _vector_passes(lat, v):
-    """Oracle: the inversion's subtractions on one vector, in place."""
-    pi = np.array(v, dtype=float)
-    for upper, lower in lat.moebius_passes:
-        pi[upper] -= pi[lower]
-    return pi
-
-
-@pytest.mark.parametrize("n", [4, 5])
-def test_matrix_passes_equal_vector_passes_bit_for_bit(n):
-    # 2R columns as a gradient evaluation inverts them, in either memory order
-    lat = enumerate_lattice(n)
-    V = np.random.default_rng(20 + n).standard_normal((2 << n, len(lat))).T
-    for M in (V, np.ascontiguousarray(V)):
+    for M in (V, np.asfortranarray(V)):
         got = invert_array(lat, M)
-        for c in range(M.shape[1]):
-            assert got[:, c].tobytes() == _vector_passes(lat, M[:, c]).tobytes()
+        assert got.shape == V.shape
+        for c in range(V.shape[1]):
+            assert got[:, c].tobytes() == invert_array(lat, V[:, c]).tobytes()
 
 
 def _check_downset_passes(lat, j, vectors):
