@@ -273,17 +273,13 @@ class EventPlan:
     agree: np.ndarray
     #: same_target[r, k]: point k has row r's target symbol.
     same_target: np.ndarray
-    #: bins[r, k] = r * 2^n + agree[r, k]: the mask bin in one flat R x 2^n table.
-    bins: np.ndarray
 
 
 def event_plan(points: np.ndarray, at: np.ndarray) -> EventPlan:
-    """The agreement masks, target matches and mask bins of ``points`` at
-    each realization row of ``at`` (rows as in ``union_event_masses``)."""
-    n = at.shape[1] - 1
-    agree = (points[None, :, 1:] == at[:, None, 1:]) @ (1 << np.arange(n))
-    bins = agree + (np.arange(len(at)) << n)[:, None]
-    return EventPlan(agree, points[None, :, 0] == at[:, None, 0], bins)
+    """The agreement masks and target matches of ``points`` at each
+    realization row of ``at`` (rows as in ``union_event_masses``)."""
+    agree = (points[None, :, 1:] == at[:, None, 1:]) @ (1 << np.arange(at.shape[1] - 1))
+    return EventPlan(agree, points[None, :, 0] == at[:, None, 0])
 
 
 def plan_event_masses(up_sets: np.ndarray, plan: EventPlan, masses: np.ndarray,
@@ -291,25 +287,17 @@ def plan_event_masses(up_sets: np.ndarray, plan: EventPlan, masses: np.ndarray,
     """``union_event_masses``'s sums and P(t) for the masses of a plan's points.
 
     ``up_sets`` is the boolean up-set matrix or a copy already of the
-    masses' dtype, which is read without a cast. Masses are added into
-    their bins in point order: float masses by ``np.bincount``, which adds
-    in the order of ``np.add.at``, the others by ``np.add.at``.
+    masses' dtype (``RedundancyLattice.kernel_up_sets``), which is read
+    without a cast. Masses are added into their bins in point order.
     """
     if up_sets.dtype not in (bool, masses.dtype):
         # a float copy would turn exact Python-int sums into floats
         raise TypeError(f"{up_sets.dtype} up-sets for {masses.dtype} masses")
     in_target = np.where(plan.same_target, masses, 0)
-    shape = (len(plan.bins), up_sets.shape[1], 2)
-    if masses.dtype == np.float64:
-        bins, size = plan.bins.ravel(), shape[0] * shape[1]
-        hist = np.stack([np.bincount(bins, weights=x.ravel(), minlength=size)
-                         for x in (np.broadcast_to(masses, in_target.shape),
-                                   in_target)], axis=-1).reshape(shape)
-    else:
-        hist = np.zeros(shape, dtype=masses.dtype)
-        rows = np.arange(shape[0])[:, None]
-        np.add.at(hist[..., 0], (rows, plan.agree), masses)
-        np.add.at(hist[..., 1], (rows, plan.agree), in_target)
+    hist = np.zeros((len(plan.agree), up_sets.shape[1], 2), dtype=masses.dtype)
+    rows = np.arange(len(plan.agree))[:, None]
+    np.add.at(hist[..., 0], (rows, plan.agree), masses)
+    np.add.at(hist[..., 1], (rows, plan.agree), in_target)
     sums = np.matmul(up_sets.astype(masses.dtype, copy=False), hist)
     return sums, in_target.sum(axis=1)
 

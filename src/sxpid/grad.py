@@ -32,17 +32,20 @@ stable child order.
 
 Plans. What an evaluation reads of the grid alone is made on the first
 evaluation and kept: per grid shape and cell set, the kernel's plan
-(``dist.event_plan``: agreement masks, target matches and mask bins, which
-are also the gather indices above; 8 kept), and per node, its downset,
-the inversion passes that write into it (``lattice.downset_passes``) and
-its ``moebius_row`` (16 kept). A plan holds nothing of the pmf. The
-largest node plan at n = 5, the top node's, is 0.69 MB, so node plans
-hold at most 11 MB; a grid plan holds 17 bytes per (realization, cell).
+(``dist.event_plan``: agreement masks and target matches) and the mask
+bins that are the gather indices above, and per node, its downset, the
+inversion passes that write into it (``lattice.downset_passes``) and its
+``moebius_row``. A plan holds nothing of the pmf. An optimizer run reuses
+one grid plan, so 2 are kept; each holds 17 bytes per (realization,
+cell), 17 kB on the binary n = 4 grid and 9 MB on a (3,) * 6 one, about
+what one evaluation's gradient rows take while it runs. 16 node plans
+are kept; the largest at n = 5, the top node's, is 0.69 MB, so they hold
+at most 11 MB.
 
 Numerics. Event masses come from one ``dist.plan_event_masses`` call on
 the plan for all realizations of an evaluation (cell masses binned by
 agreement mask in grid order, one 2^n-term product per realization, with
-the lattice's ``float_up_sets``), ``lattice.log_parts`` takes the logs of
+the lattice's ``kernel_up_sets``), ``lattice.log_parts`` takes the logs of
 the downset's masses as for ``measures``, and one ``run_passes`` call
 inverts the downset's i-parts for all realizations with the subtractions
 ``invert_array`` makes there, so the bits are those of inverting the
@@ -143,14 +146,17 @@ def _read_only(*arrays: np.ndarray) -> None:
         a.flags.writeable = False
 
 
-@lru_cache(maxsize=8)
-def _grid_plan(shape: tuple[int, ...], cells: bytes) -> EventPlan:
+@lru_cache(maxsize=2)
+def _grid_plan(shape: tuple[int, ...], cells: bytes) -> tuple[EventPlan, np.ndarray]:
     """The kernel's plan for the realizations on the grid cells ``cells``
-    (the bytes of an intp vector) over every cell of the grid."""
+    (the bytes of an intp vector) over every cell of the grid, and the
+    gather index bins[r, k] = r * 2^n + agree[r, k] of cell k's mask in a
+    flat table of one 2^n-row per realization."""
     points = _grid_points(shape)
     plan = event_plan(points, points[np.frombuffer(cells, dtype=np.intp)])
-    _read_only(plan.agree, plan.same_target, plan.bins)
-    return plan
+    bins = plan.agree + (np.arange(len(plan.agree)) << (len(shape) - 1))[:, None]
+    _read_only(plan.agree, plan.same_target, bins)
+    return plan, bins
 
 
 @lru_cache(maxsize=16)
@@ -164,20 +170,20 @@ def _node_plan(n: int, j: int) -> tuple[np.ndarray, tuple, np.ndarray]:
 
 
 def _event_masses(p: np.ndarray, shape: tuple[int, ...], cells: Sequence[int],
-                  ) -> tuple[EventPlan, np.ndarray, np.ndarray]:
-    """The plan, sums and P(t) of the kernel at the realizations on
-    ``cells`` over the grid, under the raw coordinates ``p``; every event
-    must have positive mass."""
+                  ) -> tuple[EventPlan, np.ndarray, np.ndarray, np.ndarray]:
+    """The plan, bins, sums and P(t) of the kernel at the realizations on
+    ``cells`` over the grid, under the raw coordinates ``p`` (floats);
+    every event must have positive mass."""
     cells = np.asarray(cells, dtype=np.intp)
-    plan = _grid_plan(shape, cells.tobytes())
+    plan, bins = _grid_plan(shape, cells.tobytes())
     sums, p_t = plan_event_masses(
-        enumerate_lattice(len(shape) - 1).float_up_sets, plan, p)
+        enumerate_lattice(len(shape) - 1).kernel_up_sets(p), plan, p)
     bad = (sums <= 0).any(axis=(1, 2))
     if bad.any():
         t, *s = _grid_points(shape)[cells[bad.argmax()]].tolist()
         raise BoundaryError(f"an event at {Realization(t, tuple(s))} has "
                             "nonpositive mass")
-    return plan, sums, p_t
+    return plan, bins, sums, p_t
 
 
 def _check_which(which: str) -> None:
@@ -203,20 +209,19 @@ def _evaluate(p: np.ndarray, shape: tuple[int, ...], cells: np.ndarray, j: int,
     """
     _check_which(which)
     lat = enumerate_lattice(len(shape) - 1)
-    plan, sums, p_t = _event_masses(p, shape, cells)
+    plan, bins, sums, p_t = _event_masses(p, shape, cells)
     if quantity == "pi":
         rows, passes, w = _node_plan(lat.n, j)
     else:
         rows, passes, w = [j], (), np.eye(1, len(lat), j)[0]
-    # downset rows by (i+, i-) of each realization, C-ordered for the passes
-    parts = np.vstack(log_parts(sums.take(rows, axis=1), p_t)).T.copy()
+    parts = np.hstack([x.T for x in log_parts(sums.take(rows, axis=1), p_t)])
     plus, minus = np.split(run_passes(parts, passes)[0], 2)
 
     p_e, p_te = sums.transpose(2, 1, 0)
     up = lat.float_up_sets
-    d_plus = (-(w[:, None] / p_e).T @ up / _LN2).take(plan.bins)
+    d_plus = (-(w[:, None] / p_e).T @ up / _LN2).take(bins)
     w_minus = -(w[:, None] / p_te).T @ up / _LN2 + (w.sum() / (p_t * _LN2))[:, None]
-    d_minus = np.where(plan.same_target, w_minus.take(plan.bins), 0.0)
+    d_minus = np.where(plan.same_target, w_minus.take(bins), 0.0)
     if which == "net":
         return plus - minus, d_plus - d_minus
     return (plus, d_plus) if which == "plus" else (minus, d_minus)
@@ -279,8 +284,8 @@ def grad_atom_via_closed_form(point: SimplexPoint, r: Realization,
                        for w in ("plus", "minus"))
         return GradientRecord("pi_net", alpha, r, point.shape, plus - minus)
     lat = enumerate_lattice(point.n_sources)
-    plan, (sums,), (p_t,) = _event_masses(point.p, point.shape,
-                                          [_cell(point.shape, r)])
+    plan, _, (sums,), (p_t,) = _event_masses(point.p, point.shape,
+                                             [_cell(point.shape, r)])
     target = plan.same_target[0]
     ind = lat.up_sets[:, plan.agree[0]]
     ind = (ind if which == "plus" else ind & target).astype(float)
@@ -307,6 +312,7 @@ def _average_and_grad(p: np.ndarray, shape: tuple[int, ...], alpha: Antichain,
                       ) -> tuple[float, np.ndarray]:
     """Mass-weighted atom average over the grid (or a support mask) and its
     gradient, weight term plus measure term, from one evaluation."""
+    p = np.asarray(p, dtype=float)
     j = _node_index(p, shape, alpha)
     if support is not None and np.shape(support) != (p.size,):
         raise ValueError(f"support mask of shape {np.shape(support)} does not "
@@ -377,6 +383,7 @@ def pointwise_value(p: np.ndarray, shape: tuple[int, ...], r: Realization,
     """
     if quantity not in ("i", "pi"):
         raise ValueError("quantity must be 'i' or 'pi'")
+    p = np.asarray(p, dtype=float)
     j = _node_index(p, shape, alpha)
     return float(_evaluate(p, shape, [_cell(shape, r)], j, quantity, which)[0][0])
 

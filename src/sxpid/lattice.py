@@ -266,6 +266,14 @@ class RedundancyLattice:
         event-mass kernel reads it uncast, as do gradient contractions."""
         return self.up_sets.astype(float)
 
+    def kernel_up_sets(self, masses: np.ndarray) -> np.ndarray:
+        """The up-sets as ``dist.plan_event_masses`` reads them for
+        ``masses``: the float copy for float64 masses, which it reads
+        without a cast, else the boolean matrix, which it casts to the
+        masses' dtype (so exact sums stay exact). Tables built from the
+        rows, such as concatenations, stay boolean."""
+        return self.float_up_sets if masses.dtype == np.float64 else self.up_sets
+
     @cached_property
     def leq_matrix(self) -> np.ndarray:
         """Boolean matrix L with L[i, j] = (nodes[i] <= nodes[j]); an oracle."""
@@ -377,17 +385,10 @@ def run_passes(pi: np.ndarray, passes: Sequence[tuple[np.ndarray, np.ndarray]],
     each pass, in place and in pass order, and return ``pi``.
 
     Within a pass the rows are read before any is written, so a pass is
-    elementwise: each column of a matrix gets the bits it gets alone. A
-    matrix's rows are gathered with ``take`` and a vector's entries by
-    fancy indexing, the faster way for each; the values are the same.
+    elementwise: each column of a matrix gets the bits it gets alone.
     """
     for upper, lower in passes:
-        if pi.ndim == 1:
-            pi[upper] -= pi[lower]
-        else:
-            rows = pi.take(upper, axis=0)
-            rows -= pi.take(lower, axis=0)
-            pi[upper] = rows
+        pi[upper] -= pi[lower]
     return pi
 
 
@@ -401,7 +402,7 @@ def invert_array(lattice: RedundancyLattice, v: np.ndarray) -> np.ndarray:
     and applied to the identity matrix it gives the Moebius function,
     mu(k, j) at [j, k].
     """
-    return run_passes(np.array(v, dtype=float, order="C"), lattice.moebius_passes)
+    return run_passes(np.array(v, dtype=float), lattice.moebius_passes)
 
 
 def downset_passes(lattice: RedundancyLattice, j: int,

@@ -72,12 +72,6 @@ def _union_masses(d: JointDistribution, rs: Sequence[Realization],
     return sums, p_t, den
 
 
-def _lattice_up_sets(d: JointDistribution, lat: RedundancyLattice) -> np.ndarray:
-    """The lattice's up-sets as the kernel reads them for ``d``'s masses:
-    float masses get the float copy, which the kernel does not cast."""
-    return lat.float_up_sets if d.mass_array[1] is None else lat.up_sets
-
-
 def _masses_at(d: JointDistribution, r: Realization, up_sets: np.ndarray,
                ) -> tuple[list[Mass], list[Mass], Mass]:
     """P(E_u) and P(t & E_u) for every up-set row u at r, and P(t)."""
@@ -285,7 +279,7 @@ def pointwise_decomposition(d: JointDistribution, r: Realization,
                             ) -> PointwiseDecomposition:
     """Evaluate i+/i- at every node and Moebius-invert both lattices."""
     lat = lattice or enumerate_lattice(d.n_sources)
-    sums, p_t, den = _union_masses(d, [r], _lattice_up_sets(d, lat))
+    sums, p_t, den = _union_masses(d, [r], lat.kernel_up_sets(d.mass_array[0]))
     (ip,), (im,) = log_parts(sums, p_t, den)
     # one vector each: indexing a vector is several times faster than
     # indexing the rows of an N x 2 matrix, and the bits are the same
@@ -418,7 +412,7 @@ def node_event_probabilities(d: JointDistribution, r: Realization,
     float masses.
     """
     lat = lattice or enumerate_lattice(d.n_sources)
-    return _masses_at(d, r, _lattice_up_sets(d, lat))
+    return _masses_at(d, r, lat.kernel_up_sets(d.mass_array[0]))
 
 
 def form_equivalence_max_dev(d: JointDistribution,
@@ -468,7 +462,7 @@ def child_meet_mass_identity_max_dev(d: JointDistribution,
     """
     lat = lattice or enumerate_lattice(d.n_sources)
     j, g, mb, mbg = np.array(_child_meet_plan(lat), dtype=np.intp).reshape(-1, 4).T
-    sums, _, den = _union_masses(d, d.support, _lattice_up_sets(d, lat))
+    sums, _, den = _union_masses(d, d.support, lat.kernel_up_sets(d.mass_array[0]))
     worst = max(np.abs(s[mbg] - (s[mb] + s[g] - s[j])).max(initial=0) for s in sums)
     return float(worst) / (den or 1)
 

@@ -374,10 +374,9 @@ def test_event_masses_do_not_depend_on_the_batch(n):
 
 
 @pytest.mark.parametrize("n", [2, 4, 5])
-def test_float_bins_add_in_the_order_of_add_at(n):
-    # float masses are binned by np.bincount, exact ones by np.add.at: both
-    # add each bin's masses in point order, so the float bits are those of
-    # np.add.at; a float copy of the up-sets gives the bits of the bool one
+def test_plan_and_mass_steps_give_the_kernel_bits(n):
+    # the kernel is its plan step then its mass step; the lattice's float
+    # copy of the up-sets, read uncast, gives the bits of the bool matrix
     rng = np.random.default_rng(50 + n)
     grid = np.indices((3,) + (2,) * n).reshape(n + 1, -1).T
     points = grid[rng.permutation(len(grid))]
@@ -396,5 +395,8 @@ def test_float_bins_add_in_the_order_of_add_at(n):
     agree, sums, _ = union_event_masses(lat.up_sets, points, masses, at)
     assert np.array_equal(agree, plan.agree) and sums.tobytes() == want.tobytes()
     exact = np.array([int(m * 2**60) * 3**40 for m in masses], dtype=object)
+    assert lat.kernel_up_sets(masses) is lat.float_up_sets
+    for m in (exact, exact.astype(float).astype(np.int64)):
+        assert lat.kernel_up_sets(m) is lat.up_sets
     with pytest.raises(TypeError, match="^float64 up-sets for object masses$"):
         plan_event_masses(lat.float_up_sets, plan, exact)

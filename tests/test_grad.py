@@ -362,7 +362,7 @@ def test_one_kernel_call_per_evaluation(monkeypatch):
     calls, plans = [], []
 
     def counted(up_sets, plan, masses):
-        calls.append(len(plan.bins))
+        calls.append(len(plan.agree))
         return plan_event_masses(up_sets, plan, masses)
 
     def planned(points, at):
@@ -440,10 +440,10 @@ def test_reused_plans_give_the_bits_of_fresh_ones():
                     got = G._evaluate(p2, shape, cells, j, quantity, which)
                     assert G._grid_plan.cache_info().hits == hits + 1
                     assert _same_bits(got, want)
-    plan = G._grid_plan(shape, np.arange(p1.size, dtype=np.intp).tobytes())
+    plan, bins = G._grid_plan(shape, np.arange(p1.size, dtype=np.intp).tobytes())
     rows, _, mu = G._node_plan(3, j)
     assert not any(a.flags.writeable for a in (plan.agree, plan.same_target,
-                                               plan.bins, rows, mu))
+                                               bins, rows, mu))
 
 
 def test_plan_keys_tell_cells_dtype_and_grid_shape_apart():
@@ -470,6 +470,15 @@ def test_plan_caches_are_bounded():
     size = rows.nbytes + mu.nbytes + sum(u.nbytes + d.nbytes for u, d in passes)
     assert size <= 0.7e6
     assert G._node_plan.cache_info().maxsize * size <= 11.1e6
+    # a grid plan holds 17 bytes per (realization, cell), as the module
+    # docstring states; two are kept, and an optimizer run reuses one
+    assert G._grid_plan.cache_info().maxsize == 2
+    for shape, size in (((2,) * 5, 17.5e3), ((3,) * 6, 9.1e6)):
+        cells = np.arange(math.prod(shape), dtype=np.intp)
+        plan, bins = G._grid_plan(shape, cells.tobytes())
+        held = plan.agree.nbytes + plan.same_target.nbytes + bins.nbytes
+        assert held == 17 * len(cells) ** 2 and held <= size
+    G._grid_plan.cache_clear()
 
 
 def test_importing_builds_no_lattice_and_no_plan():

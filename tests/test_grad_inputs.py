@@ -1,6 +1,7 @@
 """Hostile inputs to the gradient entry points fail with what is wrong:
 the mechanism-fixed optimizer names the coordinate, and every entry point
-checks the antichain and the pmf length against the grid."""
+checks the antichain and the pmf length against the grid. Raw vectors of
+any real dtype are read as floats."""
 
 import numpy as np
 import pytest
@@ -82,3 +83,17 @@ def test_support_mask_of_the_wrong_length_rejected(size):
     with pytest.raises(ValueError, match=rf"^support mask of shape \({size},\) does "
                                          "not match the 8 cells of the outcome grid$"):
         G.average_atom_value(pt.p, pt.shape, top, support=np.ones(size, bool))
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float32])
+def test_raw_vectors_of_any_real_dtype_read_as_floats(dtype):
+    # counts need not be normalized; integer sums below 2^53 are exact in
+    # float64, so an int64 count vector gets the bits of its float copy
+    shape = (2, 2, 2)
+    raw = np.random.default_rng(6).integers(1, 1000, size=8).astype(dtype)
+    top = enumerate_lattice(2).top
+    want = G.average_atom_value(raw.astype(float), shape, top)
+    assert G.average_atom_value(raw, shape, top) == want
+    assert G.average_atom_value(raw.tolist(), shape, top) == want
+    want = G.pointwise_value(raw.astype(float), shape, _R, top, "pi", "net")
+    assert G.pointwise_value(raw, shape, _R, top, "pi", "net") == want

@@ -385,7 +385,6 @@ def test_invert_array_matches_downset_recursion(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_invert_array_matrix_is_columnwise_bit_for_bit(n):
-    # matrix rows are gathered with take, vector entries by fancy indexing;
     # in either memory order, since callers pass transposes
     lat = enumerate_lattice(n)
     rng = np.random.default_rng(10 + n)
@@ -402,7 +401,7 @@ def _check_downset_passes(lat, j, vectors):
     assert rows[0] == j
     assert sorted(rows.tolist()) == np.flatnonzero(lat.leq_matrix[:, j]).tolist()
     for v, full in vectors:
-        got = run_passes(np.array(v[rows], order="C"), passes)
+        got = run_passes(v[rows], passes)
         assert got.tobytes() == full[rows].tobytes()
 
 
