@@ -33,26 +33,30 @@ stable child order.
 Plans. What an evaluation reads of the grid alone is made on the first
 evaluation and kept: per grid shape and cell set, the kernel's plan
 (``dist.event_plan``: agreement masks and target matches) and the mask
-bins that are the gather indices above, and per node, its downset, the
-inversion passes that write into it (``lattice.downset_passes``) and its
-``moebius_row``. A plan holds nothing of the pmf. An optimizer run reuses
-one grid plan, so 2 are kept; each holds 17 bytes per (realization,
-cell), 17 kB on the binary n = 4 grid and 9 MB on a (3,) * 6 one, about
-what one evaluation's gradient rows take while it runs. 16 node plans
-are kept; the largest at n = 5, the top node's, is 0.69 MB, so they hold
-at most 11 MB.
+bins that are the gather indices above, and per node, the rows and pairs
+of the inversion that its value reads (``lattice.node_passes``: the 2^k
+meets of subsets of its k children, where mu(., j) is +-1, and one pair
+per row but j) and its ``moebius_row``. A plan holds nothing of the pmf.
+An optimizer run reuses one grid plan, so 2 are kept; each holds 17
+bytes per (realization, cell), 17 kB on the binary n = 4 grid and 9 MB
+on a (3,) * 6 one, about what one evaluation's gradient rows take while
+it runs. 16 node plans are kept; at n = 5 each holds its full-length
+``moebius_row`` (61 kB) and the largest, that of a node with 10
+children, 1,024 rows and 1,023 pairs, 85 kB in all, so they hold at
+most 1.4 MB.
 
 Numerics. Event masses come from one ``dist.plan_event_masses`` call on
 the plan for all realizations of an evaluation (cell masses binned by
 agreement mask in grid order, one 2^n-term product per realization, with
 the lattice's ``kernel_up_sets``), ``lattice.log_parts`` takes the logs of
-the downset's masses as for ``measures``, and one ``run_passes`` call
-inverts the downset's i-parts for all realizations with the subtractions
-``invert_array`` makes there, so the bits are those of inverting the
+the plan's rows' masses as for ``measures``, and one ``run_passes`` call
+on those rows, i+ and i- of every realization side by side, makes the
+subtractions that ``invert_array`` makes on the way to node j, on the
+same operands in the same order, so the bits are those of inverting the
 whole lattice; no value depends on the other realizations, and averages
 are summed sequentially in grid order. Gradients are contracted in the
-agreement basis, so they differ from inverting the gradient rows in the
-order of summation only.
+agreement basis over the whole lattice, so they differ from inverting
+the gradient rows in the order of summation only.
 """
 
 from __future__ import annotations
@@ -67,8 +71,8 @@ import numpy as np
 from .dist import (EventPlan, JointDistribution, Realization, event_plan,
                    plan_event_masses)
 from .lattice import (Antichain, BoundaryError, closed_form_plan,
-                      downset_passes, enumerate_lattice, log_parts,
-                      moebius_row, run_passes)
+                      enumerate_lattice, log_parts, moebius_row,
+                      node_passes, run_passes)
 
 _LN2 = math.log(2.0)
 
@@ -161,9 +165,9 @@ def _grid_plan(shape: tuple[int, ...], cells: bytes) -> tuple[EventPlan, np.ndar
 
 @lru_cache(maxsize=16)
 def _node_plan(n: int, j: int) -> tuple[np.ndarray, tuple, np.ndarray]:
-    """Node j's ``downset_passes`` and its ``moebius_row``."""
+    """Node j's ``node_passes`` and its ``moebius_row``."""
     lat = enumerate_lattice(n)
-    rows, passes = downset_passes(lat, j)
+    rows, passes = node_passes(lat, j)
     mu = moebius_row(lat, j)
     _read_only(rows, mu, *(x for pair in passes for x in pair))
     return rows, tuple(passes), mu
@@ -214,8 +218,10 @@ def _evaluate(p: np.ndarray, shape: tuple[int, ...], cells: np.ndarray, j: int,
         rows, passes, w = _node_plan(lat.n, j)
     else:
         rows, passes, w = [j], (), np.eye(1, len(lat), j)[0]
-    parts = np.hstack([x.T for x in log_parts(sums.take(rows, axis=1), p_t)])
-    plus, minus = np.split(run_passes(parts, passes)[0], 2)
+    # one rows x 2R buffer: i+ of every realization, then i-
+    parts = np.empty((len(rows), 2, len(p_t)))
+    parts[:, 0], parts[:, 1] = (x.T for x in log_parts(sums.take(rows, axis=1), p_t))
+    plus, minus = run_passes(parts.reshape(len(rows), -1), passes)[0].reshape(2, -1)
 
     p_e, p_te = sums.transpose(2, 1, 0)
     up = lat.float_up_sets
@@ -263,7 +269,8 @@ def grad_i_sx_parts(point: SimplexPoint, r: Realization, alpha: Antichain,
 def grad_atom(point: SimplexPoint, r: Realization, alpha: Antichain,
               which: str = "net") -> GradientRecord:
     """Analytic gradient of an atom: the agreement-basis contraction of the
-    i-part gradients over the downset (module docstring), exact at ties."""
+    i-part gradients weighted by ``moebius_row`` (module docstring), exact
+    at ties."""
     j = _node_index(point.p, point.shape, alpha)
     g = _evaluate(point.p, point.shape, [_cell(point.shape, r)], j, "pi", which)[1][0]
     return GradientRecord(f"pi_{which}", alpha, r, point.shape, g)

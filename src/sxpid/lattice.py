@@ -405,30 +405,36 @@ def invert_array(lattice: RedundancyLattice, v: np.ndarray) -> np.ndarray:
     return run_passes(np.array(v, dtype=float), lattice.moebius_passes)
 
 
-def downset_passes(lattice: RedundancyLattice, j: int,
-                   ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
-    """Node j's downset and the part of the inversion that writes into it.
+def node_passes(lattice: RedundancyLattice, j: int,
+                ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    """The rows and pairs of the inversion that node j's value reads.
 
-    Returns ``(rows, passes)``: the indices of the nodes below or equal to
-    j, j first, and the ``moebius_passes`` pairs whose upper node is in the
-    downset, as positions in ``rows``, in run order. A pair's lower node is
-    covered by its upper one, so it is in the downset too, and pairs whose
-    upper node is outside never write a downset row: ``run_passes(v[rows],
+    Returns ``(rows, passes)``: node indices, j first, and ``moebius_passes``
+    pairs as positions in ``rows``, in run order. Walking the passes
+    backwards from j, a pair is kept when its upper row is still to be
+    read, and its lower row is then to be read too; a dropped pair writes
+    a row that nothing after it reads. So ``run_passes(v[rows],
     passes)[0]`` makes the subtractions of ``invert_array(lattice, v)[j]``
-    in the same order, so it has the same bits.
+    on the same operands in the same order, and has the same bits.
+
+    The rows are the support of ``moebius_row``: the lattice is
+    distributive, so mu(u, j) is nonzero only where [u, j] is Boolean,
+    that is at the 2^k meets of subsets of j's k children
+    (``subset_meets``), and each row but j is the lower of one kept pair.
     """
-    keys = lattice._up_keys
-    below = (keys[j] & ~keys) == 0
-    below[j] = False
-    rows = np.concatenate([[j], np.flatnonzero(below)])
-    at = np.full(len(keys), -1)
+    need = np.zeros(len(lattice.nodes), dtype=bool)
+    need[j] = True
+    kept = []
+    for upper, lower in reversed(lattice.moebius_passes):
+        hit = need[upper]
+        if hit.any():
+            kept.append((upper[hit], lower[hit]))
+            need[lower[hit]] = True
+    need[j] = False
+    rows = np.concatenate([[j], np.flatnonzero(need)])
+    at = np.empty(len(need), dtype=np.intp)
     at[rows] = np.arange(len(rows))
-    passes = []
-    for upper, lower in lattice.moebius_passes:
-        inside = at[upper] >= 0
-        if inside.any():
-            passes.append((at[upper[inside]], at[lower[inside]]))
-    return rows, passes
+    return rows, [(at[upper], at[lower]) for upper, lower in reversed(kept)]
 
 
 def moebius_row(lattice: RedundancyLattice, j: int) -> np.ndarray:
@@ -439,6 +445,9 @@ def moebius_row(lattice: RedundancyLattice, j: int) -> np.ndarray:
     ``moebius_row(lattice, j) @ v`` is ``invert_array(lattice, v)[j]`` up to
     the order of summation. Within a pass the ``lower`` indices are distinct
     and none is an ``upper`` of that pass, so each update is exact.
+
+    The row is +-1 on the rows of ``node_passes``, the meets of the subsets
+    B of j's children, with sign (-1)^|B|, and 0 everywhere else.
     """
     y = np.zeros(len(lattice.nodes))
     y[j] = 1.0

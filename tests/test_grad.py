@@ -463,13 +463,16 @@ def test_plan_keys_tell_cells_dtype_and_grid_shape_apart():
 def test_plan_caches_are_bounded():
     for cache in (G._grid_points, G._grid_plan, G._node_plan):
         assert cache.cache_info().maxsize is not None
-    # the top node's plan holds every downset row and pass pair, so it is
-    # the largest; the module docstring states 16 of them at n = 5
+    # a node plan holds its full-length mu and one row and one pass pair per
+    # child subset, so the node with the most children (10 at n = 5) has the
+    # largest; the module docstring states 16 of them at n = 5
     lat = enumerate_lattice(5)
-    rows, passes, mu = G._node_plan(5, lat.index(lat.top))
+    most = max(range(len(lat)), key=lambda j: len(lat.children_table[j]))
+    rows, passes, mu = G._node_plan(5, most)
+    assert len(rows) == 1 << 10
     size = rows.nbytes + mu.nbytes + sum(u.nbytes + d.nbytes for u, d in passes)
-    assert size <= 0.7e6
-    assert G._node_plan.cache_info().maxsize * size <= 11.1e6
+    assert size <= 86e3
+    assert G._node_plan.cache_info().maxsize * size <= 1.4e6
     # a grid plan holds 17 bytes per (realization, cell), as the module
     # docstring states; two are kept, and an optimizer run reuses one
     assert G._grid_plan.cache_info().maxsize == 2

@@ -12,8 +12,8 @@ from sxpid.dist import Alphabet
 from sxpid.lattice import (Antichain, BoundaryError, LatticeError, NODE_COUNTS,
                            RedundancyLattice,
                            closed_form_atom, closed_form_plan, coalition_up_sets,
-                           downset_passes, enumerate_lattice, invert_array, leq,
-                           log_parts, meet, moebius_invert, moebius_row,
+                           enumerate_lattice, invert_array, leq, log_parts,
+                           meet, moebius_invert, moebius_row, node_passes,
                            normalize_antichain, parse_node_name, run_passes)
 from sxpid.report import display_order
 
@@ -396,34 +396,45 @@ def test_invert_array_matrix_is_columnwise_bit_for_bit(n):
             assert got[:, c].tobytes() == invert_array(lat, V[:, c]).tobytes()
 
 
-def _check_downset_passes(lat, j, vectors):
-    rows, passes = downset_passes(lat, j)
-    assert rows[0] == j
-    assert sorted(rows.tolist()) == np.flatnonzero(lat.leq_matrix[:, j]).tolist()
+def _check_node_passes(lat, j, vectors):
+    rows, passes = node_passes(lat, j)
+    kids = lat.children_table[j]
+    mu = moebius_row(lat, j)
+    # the rows are the support of mu: the meets of subsets B of the
+    # children, where mu is (-1)^|B|; each row but j is the lower of one pair
+    meets = lat.subset_meets(j, kids)
+    assert rows[0] == j and len(rows) == 2 ** len(kids)
+    assert sorted(rows.tolist()) == np.flatnonzero(mu).tolist()
+    assert set(rows.tolist()) == set(meets)
+    assert mu[meets].tolist() == [(-1.0) ** bin(b).count("1") for b in range(len(meets))]
+    lowers = np.concatenate([[0]] + [lower for _, lower in passes])
+    assert sorted(lowers.tolist()) == list(range(len(rows)))
+    # row j only: the other rows are left where the pairs j reads leave them
     for v, full in vectors:
-        got = run_passes(v[rows], passes)
-        assert got.tobytes() == full[rows].tobytes()
+        got = run_passes(v[rows], passes)[0]
+        assert got.tobytes() == full[j].tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_downset_passes_give_the_bits_of_the_whole_inversion(n):
+def test_node_passes_give_the_bits_of_the_whole_inversion(n):
     lat = enumerate_lattice(n)
     rng = np.random.default_rng(30 + n)
     vectors = [rng.uniform(-5, 5, len(lat)),
                rng.standard_normal((len(lat), 2 << n))]
     vectors = [(v, invert_array(lat, v)) for v in vectors]
     for j in range(len(lat)):
-        _check_downset_passes(lat, j, vectors)
+        _check_node_passes(lat, j, vectors)
 
 
-def test_downset_passes_give_the_bits_of_the_whole_inversion_n5():
+def test_node_passes_give_the_bits_of_the_whole_inversion_n5():
     lat = enumerate_lattice(5)
     rng = np.random.default_rng(35)
     vectors = [rng.uniform(-5, 5, len(lat)), rng.standard_normal((len(lat), 64))]
     vectors = [(v, invert_array(lat, v)) for v in vectors]
     sample = rng.choice(len(lat), size=12, replace=False).tolist()
-    for j in sample + [lat.index(lat.bottom), lat.index(lat.top)]:
-        _check_downset_passes(lat, j, vectors)
+    most = max(range(len(lat)), key=lambda j: len(lat.children_table[j]))
+    for j in sample + [lat.index(lat.bottom), lat.index(lat.top), most]:
+        _check_node_passes(lat, j, vectors)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
