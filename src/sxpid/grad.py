@@ -424,30 +424,42 @@ def _project_step(x: np.ndarray, g: np.ndarray, lr: float,
     return x
 
 
+def _ascend(x: np.ndarray, evaluate: Callable, maximize: bool, steps: int,
+            learning_rate: float, epsilon: float,
+            grad_tol: float) -> list[TrajectoryStep]:
+    """Projected gradient ascent (descent unless ``maximize``) from ``x``.
+
+    ``evaluate(x)`` gives the joint pmf at x, the objective and its
+    gradient in x's coordinates. Each iteration projects the gradient onto
+    the sum-zero tangent, steps, clips to the interior margin and
+    renormalizes. The trajectory (including the start) is returned;
+    iteration stops after ``steps`` or once the projected-gradient norm
+    drops below ``grad_tol``.
+    """
+    sign = 1.0 if maximize else -1.0
+    traj = []
+    for it in range(steps + 1):
+        joint, obj, g = evaluate(x)
+        g = sign * g
+        norm = float(np.linalg.norm(g - g.mean()))
+        traj.append(TrajectoryStep(it, joint, obj, norm))
+        if it == steps or norm < grad_tol:
+            break
+        x = _project_step(x, g, learning_rate, epsilon)
+    return traj
+
+
 def optimize_atom(start: SimplexPoint, alpha: Antichain, which: str = "net",
                   maximize: bool = True, steps: int = 100,
                   learning_rate: float = DEFAULT_LEARNING_RATE,
                   grad_tol: float = GRAD_NORM_STOP) -> list[TrajectoryStep]:
-    """Projected gradient ascent/descent of an averaged atom.
+    """Projected gradient ascent/descent of an averaged atom over the
+    whole grid (``_ascend``)."""
+    def evaluate(x):
+        return (x, *_average_and_grad(x, start.shape, alpha, which, None))
 
-    Each iteration projects the raw gradient onto the sum-zero tangent,
-    steps, clips to the interior margin and renormalizes. The trajectory
-    (including the start) is returned; iteration stops after ``steps`` or
-    once the projected-gradient norm drops below ``grad_tol``.
-    """
-    sign = 1.0 if maximize else -1.0
-    x = start.p.copy()
-    traj = []
-    for it in range(steps + 1):
-        obj, g = _average_and_grad(x, start.shape, alpha, which, None)
-        g = sign * g
-        g_proj = g - g.mean()
-        norm = float(np.linalg.norm(g_proj))
-        traj.append(TrajectoryStep(it, x.copy(), obj, norm))
-        if it == steps or norm < grad_tol:
-            break
-        x = _project_step(x, g, learning_rate, start.epsilon)
-    return traj
+    return _ascend(start.p.copy(), evaluate, maximize, steps, learning_rate,
+                   start.epsilon, grad_tol)
 
 
 def optimize_atom_mechanism_fixed(mechanism: np.ndarray, q0: np.ndarray,
@@ -463,8 +475,8 @@ def optimize_atom_mechanism_fixed(mechanism: np.ndarray, q0: np.ndarray,
     ``mechanism`` is the flat conditional grid p(t|s) (columns over the
     target axis sum to 1), ``q0`` the starting source pmf. The joint is
     the product p(t,s) = p(t|s) q(s); gradients chain through it, so only
-    the source block moves. Cells where the mechanism is zero stay zero;
-    pointwise terms are evaluated on the fixed support only.
+    the source block moves (``_ascend``). Cells where the mechanism is zero
+    stay zero; pointwise terms are evaluated on the fixed support only.
     """
     _node_index(mechanism, shape, alpha)
     n_t = shape[0]
@@ -485,19 +497,12 @@ def optimize_atom_mechanism_fixed(mechanism: np.ndarray, q0: np.ndarray,
     q /= q.sum()
     support = (M.reshape(-1) > 0)
 
-    sign = 1.0 if maximize else -1.0
-    traj = []
-    for it in range(steps + 1):
+    def evaluate(q):
         joint = (M * q[None, :]).reshape(-1)
-        obj, g_joint = _average_and_grad(joint, shape, alpha, which, support)
-        g_q = sign * (M * g_joint.reshape(n_t, src_size)).sum(axis=0)
-        g_proj = g_q - g_q.mean()
-        norm = float(np.linalg.norm(g_proj))
-        traj.append(TrajectoryStep(it, joint.copy(), obj, norm))
-        if it == steps or norm < grad_tol:
-            break
-        q = _project_step(q, g_q, learning_rate, epsilon)
-    return traj
+        obj, g = _average_and_grad(joint, shape, alpha, which, support)
+        return joint, obj, (M * g.reshape(n_t, src_size)).sum(axis=0)
+
+    return _ascend(q, evaluate, maximize, steps, learning_rate, epsilon, grad_tol)
 
 
 def mechanism_from_distribution(d: JointDistribution) -> tuple[np.ndarray, np.ndarray]:
