@@ -15,48 +15,47 @@ Derivatives per coordinate k (natural log divided out as 1/ln 2):
 Agreement basis. Cell k lies in the union event E_u of realization r iff
 the mask c = agree(k, r) of the sources on which k agrees with r is in the
 up-set of u, so [k in E_u] = up_sets[u, c]. An atom is pi_j = sum_u
-mu(u, j) i_u, with mu(., j) = ``lattice.moebius_row``, the transpose of
-``lattice.invert_array``. Its partials therefore depend on k only through
-c and [t_k = t_r]:
+mu(u, j) i_u over node j's Moebius support, the 2^k meets of subsets of
+its k children, where mu(., j) = +-1: ``lattice.node_passes`` gives those
+``rows`` (j first) and their ``signs``. Its partials therefore depend on
+k only through c and [t_k = t_r]:
 
-    d pi+_j / dp_k = W+[c],  W+ = -(mu(., j) / P(E)) @ up_sets / ln2
+    d pi+_j / dp_k = W+[c],  W+ = -(signs / P(E)) @ up_sets[rows] / ln2
     d pi-_j / dp_k = [t_k = t_r] W-[c],
-                     W- = -(mu(., j) / P(T&E)) @ up_sets / ln2
-                          + sum_u mu(u, j) / (P(T) ln2)
+                     W- = -(signs / P(T&E)) @ up_sets[rows] / ln2
+                          + sum(signs) / (P(T) ln2)
 
 one product and one gather per realization, with no inversion of gradient
-rows; an i-part is the same with mu(., j) replaced by the unit vector e_j.
-The route is exact at ties, where the inclusion-exclusion closed form
+rows; an i-part is the same on the one-row plan of j with sign 1. The
+route is exact at ties, where the inclusion-exclusion closed form
 (``grad_atom_via_closed_form``, kept as the independent check) has no
 stable child order.
 
 Plans. What an evaluation reads of the grid alone is made on the first
 evaluation and kept: per grid shape and cell set, the kernel's plan
 (``dist.event_plan``: agreement masks and target matches) and the mask
-bins that are the gather indices above, and per node, the rows and pairs
-of the inversion that its value reads (``lattice.node_passes``: the 2^k
-meets of subsets of its k children, where mu(., j) is +-1, and one pair
-per row but j) and its ``moebius_row``. A plan holds nothing of the pmf.
-An optimizer run reuses one grid plan, so 2 are kept; each holds 17
-bytes per (realization, cell), 17 kB on the binary n = 4 grid and 9 MB
-on a (3,) * 6 one, about what one evaluation's gradient rows take while
-it runs. 16 node plans are kept; at n = 5 each holds its full-length
-``moebius_row`` (61 kB) and the largest, that of a node with 10
-children, 1,024 rows and 1,023 pairs, 85 kB in all, so they hold at
-most 1.4 MB.
+bins that are the gather indices above, and per node, its
+``node_passes``: its rows, their signs and one pass pair per row but j.
+A plan holds nothing of the pmf. An optimizer run reuses one grid plan,
+so 2 are kept; each holds 17 bytes per (realization, cell), 17 kB on the
+binary n = 4 grid and 9 MB on a (3,) * 6 one, about what one
+evaluation's gradient rows take while it runs. 16 node plans are kept,
+at 16 bytes per row and per pair; the largest, that of an n = 5 node
+with 10 children (1,024 rows, 1,023 pairs), is 33 kB, so they hold at
+most 0.53 MB.
 
 Numerics. Event masses come from one ``dist.plan_event_masses`` call on
 the plan for all realizations of an evaluation (cell masses binned by
-agreement mask in grid order, one 2^n-term product per realization, with
-the lattice's ``kernel_up_sets``), ``lattice.log_parts`` takes the logs of
-the plan's rows' masses as for ``measures``, and one ``run_passes`` call
-on those rows, i+ and i- of every realization side by side, makes the
-subtractions that ``invert_array`` makes on the way to node j, on the
-same operands in the same order, so the bits are those of inverting the
-whole lattice; no value depends on the other realizations, and averages
-are summed sequentially in grid order. Gradients are contracted in the
-agreement basis over the whole lattice, so they differ from inverting
-the gradient rows in the order of summation only.
+agreement mask in grid order, one 2^n-term product per realization over
+every node, with the lattice's ``kernel_up_sets``), ``lattice.log_parts``
+takes the logs of the plan's rows' masses as for ``measures``, and one
+``run_passes`` call on those rows, i+ and i- of every realization side
+by side, makes the subtractions that ``invert_array`` makes on the way to
+node j, on the same operands in the same order, so the bits are those of
+inverting the whole lattice; no value depends on the other realizations,
+and averages are summed sequentially in grid order. Gradients are
+contracted over the plan's rows only, so they differ from inverting the
+gradient rows in the order of summation only.
 """
 
 from __future__ import annotations
@@ -71,8 +70,7 @@ import numpy as np
 from .dist import (EventPlan, JointDistribution, Realization, event_plan,
                    plan_event_masses)
 from .lattice import (Antichain, BoundaryError, closed_form_plan,
-                      enumerate_lattice, log_parts, moebius_row,
-                      node_passes, run_passes)
+                      enumerate_lattice, log_parts, node_passes, run_passes)
 
 _LN2 = math.log(2.0)
 
@@ -165,12 +163,15 @@ def _grid_plan(shape: tuple[int, ...], cells: bytes) -> tuple[EventPlan, np.ndar
 
 @lru_cache(maxsize=16)
 def _node_plan(n: int, j: int) -> tuple[np.ndarray, tuple, np.ndarray]:
-    """Node j's ``node_passes`` and its ``moebius_row``."""
-    lat = enumerate_lattice(n)
-    rows, passes = node_passes(lat, j)
-    mu = moebius_row(lat, j)
-    _read_only(rows, mu, *(x for pair in passes for x in pair))
-    return rows, tuple(passes), mu
+    """Node j's atom plan: its ``node_passes``, read-only."""
+    rows, passes, signs = node_passes(enumerate_lattice(n), j)
+    _read_only(rows, signs, *(x for pair in passes for x in pair))
+    return rows, tuple(passes), signs
+
+
+#: The plan ``_evaluate`` reads for each quantity: an atom's node plan, or
+#: for an i-part the node's own row, no pass, sign 1.
+_PLANS = {"pi": _node_plan, "i": lambda n, j: (np.array([j]), (), np.ones(1))}
 
 
 def _event_masses(p: np.ndarray, shape: tuple[int, ...], cells: Sequence[int],
@@ -206,27 +207,26 @@ def _cell(shape: tuple[int, ...], r: Realization) -> int:
 def _evaluate(p: np.ndarray, shape: tuple[int, ...], cells: np.ndarray, j: int,
               quantity: str, which: str) -> tuple[np.ndarray, np.ndarray]:
     """Node j's i-part ("i") or atom ("pi") at the realizations on the grid
-    ``cells``, and its partials in the agreement basis (module docstring).
+    ``cells``, from its plan in ``_PLANS``, and its partials in the
+    agreement basis (module docstring).
 
     Returns ``(values, rows)``: values[r] at the realization on cells[r],
     and rows[r, k], its partial with respect to raw coordinate k.
     """
     _check_which(which)
-    lat = enumerate_lattice(len(shape) - 1)
+    rows, passes, signs = _PLANS[quantity](len(shape) - 1, j)
     plan, bins, sums, p_t = _event_masses(p, shape, cells)
-    if quantity == "pi":
-        rows, passes, w = _node_plan(lat.n, j)
-    else:
-        rows, passes, w = [j], (), np.eye(1, len(lat), j)[0]
+    sums = sums.take(rows, axis=1)
     # one rows x 2R buffer: i+ of every realization, then i-
     parts = np.empty((len(rows), 2, len(p_t)))
-    parts[:, 0], parts[:, 1] = (x.T for x in log_parts(sums.take(rows, axis=1), p_t))
+    parts[:, 0], parts[:, 1] = (x.T for x in log_parts(sums, p_t))
     plus, minus = run_passes(parts.reshape(len(rows), -1), passes)[0].reshape(2, -1)
 
     p_e, p_te = sums.transpose(2, 1, 0)
-    up = lat.float_up_sets
-    d_plus = (-(w[:, None] / p_e).T @ up / _LN2).take(bins)
-    w_minus = -(w[:, None] / p_te).T @ up / _LN2 + (w.sum() / (p_t * _LN2))[:, None]
+    up = enumerate_lattice(len(shape) - 1).float_up_sets[rows]
+    d_plus = (-(signs[:, None] / p_e).T @ up / _LN2).take(bins)
+    w_minus = (-(signs[:, None] / p_te).T @ up / _LN2
+               + (signs.sum() / (p_t * _LN2))[:, None])
     d_minus = np.where(plan.same_target, w_minus.take(bins), 0.0)
     if which == "net":
         return plus - minus, d_plus - d_minus
@@ -269,8 +269,8 @@ def grad_i_sx_parts(point: SimplexPoint, r: Realization, alpha: Antichain,
 def grad_atom(point: SimplexPoint, r: Realization, alpha: Antichain,
               which: str = "net") -> GradientRecord:
     """Analytic gradient of an atom: the agreement-basis contraction of the
-    i-part gradients weighted by ``moebius_row`` (module docstring), exact
-    at ties."""
+    i-part gradients of its Moebius support, weighted by mu (module
+    docstring), exact at ties."""
     j = _node_index(point.p, point.shape, alpha)
     g = _evaluate(point.p, point.shape, [_cell(point.shape, r)], j, "pi", which)[1][0]
     return GradientRecord(f"pi_{which}", alpha, r, point.shape, g)
@@ -427,15 +427,12 @@ def _project_step(x: np.ndarray, g: np.ndarray, lr: float,
 def _ascend(x: np.ndarray, evaluate: Callable, maximize: bool, steps: int,
             learning_rate: float, epsilon: float,
             grad_tol: float) -> list[TrajectoryStep]:
-    """Projected gradient ascent (descent unless ``maximize``) from ``x``.
-
-    ``evaluate(x)`` gives the joint pmf at x, the objective and its
-    gradient in x's coordinates. Each iteration projects the gradient onto
-    the sum-zero tangent, steps, clips to the interior margin and
-    renormalizes. The trajectory (including the start) is returned;
-    iteration stops after ``steps`` or once the projected-gradient norm
-    drops below ``grad_tol``.
-    """
+    """Projected gradient ascent (descent unless ``maximize``) from ``x``,
+    where ``evaluate(x)`` gives the joint pmf at x, the objective and its
+    gradient in x's coordinates: each step moves along the gradient's
+    sum-zero projection, clips to the interior margin and renormalizes
+    (``_project_step``). The trajectory (start included) ends after
+    ``steps`` or below the projected-gradient norm ``grad_tol``."""
     sign = 1.0 if maximize else -1.0
     traj = []
     for it in range(steps + 1):

@@ -406,21 +406,23 @@ def invert_array(lattice: RedundancyLattice, v: np.ndarray) -> np.ndarray:
 
 
 def node_passes(lattice: RedundancyLattice, j: int,
-                ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
-    """The rows and pairs of the inversion that node j's value reads.
+                ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
+    """Node j's Moebius function as the part of the inversion its value reads.
 
-    Returns ``(rows, passes)``: node indices, j first, and ``moebius_passes``
-    pairs as positions in ``rows``, in run order. Walking the passes
-    backwards from j, a pair is kept when its upper row is still to be
-    read, and its lower row is then to be read too; a dropped pair writes
-    a row that nothing after it reads. So ``run_passes(v[rows],
-    passes)[0]`` makes the subtractions of ``invert_array(lattice, v)[j]``
-    on the same operands in the same order, and has the same bits.
+    Returns ``(rows, passes, signs)``: node indices, j first,
+    ``moebius_passes`` pairs as positions in ``rows``, in run order, and
+    mu(rows, j). Walking the passes backwards from j, a pair is kept when
+    its upper row is still to be read, and its lower row is then to be
+    read too; a dropped pair writes a row that nothing after it reads. So
+    ``run_passes(v[rows], passes)[0]`` makes the subtractions of
+    ``invert_array(lattice, v)[j]`` on the same operands in the same
+    order, and has the same bits; run on the identity it gives the weight
+    of each row in that sum, ``signs``.
 
-    The rows are the support of ``moebius_row``: the lattice is
-    distributive, so mu(u, j) is nonzero only where [u, j] is Boolean,
-    that is at the 2^k meets of subsets of j's k children
-    (``subset_meets``), and each row but j is the lower of one kept pair.
+    The lattice is distributive, so mu(u, j) is nonzero only where [u, j]
+    is Boolean, that is at the 2^k meets of subsets B of j's k children
+    (``subset_meets``), where it is (-1)^|B|: those meets are the rows,
+    and each row but j is the lower of one kept pair.
     """
     need = np.zeros(len(lattice.nodes), dtype=bool)
     need[j] = True
@@ -434,26 +436,8 @@ def node_passes(lattice: RedundancyLattice, j: int,
     rows = np.concatenate([[j], np.flatnonzero(need)])
     at = np.empty(len(need), dtype=np.intp)
     at[rows] = np.arange(len(rows))
-    return rows, [(at[upper], at[lower]) for upper, lower in reversed(kept)]
-
-
-def moebius_row(lattice: RedundancyLattice, j: int) -> np.ndarray:
-    """mu(u, j) for every node u: row j of ``invert_array`` on the identity.
-
-    This is the transpose of ``invert_array``: the passes run in reverse
-    order with the roles of ``upper`` and ``lower`` swapped, so that
-    ``moebius_row(lattice, j) @ v`` is ``invert_array(lattice, v)[j]`` up to
-    the order of summation. Within a pass the ``lower`` indices are distinct
-    and none is an ``upper`` of that pass, so each update is exact.
-
-    The row is +-1 on the rows of ``node_passes``, the meets of the subsets
-    B of j's children, with sign (-1)^|B|, and 0 everywhere else.
-    """
-    y = np.zeros(len(lattice.nodes))
-    y[j] = 1.0
-    for upper, lower in reversed(lattice.moebius_passes):
-        y[lower] -= y[upper]
-    return y
+    passes = [(at[upper], at[lower]) for upper, lower in reversed(kept)]
+    return rows, passes, run_passes(np.eye(len(rows)), passes)[0]
 
 
 def moebius_invert(lattice: RedundancyLattice,

@@ -101,6 +101,17 @@ def _check_alpha(d: JointDistribution, alpha: Antichain) -> np.ndarray:
     return lat.up_sets[[lat.index(alpha)]]
 
 
+def _lattice_of(d: JointDistribution,
+                lattice: RedundancyLattice | None) -> RedundancyLattice:
+    """``lattice`` once it is over d's sources, or the cached lattice."""
+    if lattice is None:
+        return enumerate_lattice(d.n_sources)
+    if lattice.n != d.n_sources:
+        raise DistributionError(
+            f"lattice over {lattice.n} sources, distribution has {d.n_sources}")
+    return lattice
+
+
 # ---------------------------------------------------------------------------
 # Pointwise quantities at a single (realization, node).
 # ---------------------------------------------------------------------------
@@ -278,7 +289,7 @@ def pointwise_decomposition(d: JointDistribution, r: Realization,
                             lattice: RedundancyLattice | None = None,
                             ) -> PointwiseDecomposition:
     """Evaluate i+/i- at every node and Moebius-invert both lattices."""
-    lat = lattice or enumerate_lattice(d.n_sources)
+    lat = _lattice_of(d, lattice)
     sums, p_t, den = _union_masses(d, [r], lat.kernel_up_sets(d.mass_array[0]))
     (ip,), (im,) = log_parts(sums, p_t, den)
     # one vector each: indexing a vector is several times faster than
@@ -315,7 +326,7 @@ def decompose_support(d: JointDistribution,
     """
     if workers < 1:
         raise ValueError("worker count must be >= 1")
-    lat = lattice or enumerate_lattice(d.n_sources)
+    lat = _lattice_of(d, lattice)
     return [pointwise_decomposition(d, r, lat) for r in d.support]
 
 
@@ -411,7 +422,7 @@ def node_event_probabilities(d: JointDistribution, r: Realization,
     lattice's up-sets: exact for rational masses, a matrix product for
     float masses.
     """
-    lat = lattice or enumerate_lattice(d.n_sources)
+    lat = _lattice_of(d, lattice)
     return _masses_at(d, r, lat.kernel_up_sets(d.mass_array[0]))
 
 
@@ -424,7 +435,7 @@ def form_equivalence_max_dev(d: JointDistribution,
     works through complement-intersection masses, over every support
     realization and node.
     """
-    up = (lattice or enumerate_lattice(d.n_sources)).up_sets
+    up = _lattice_of(d, lattice).up_sets
     sums, p_t, den = _union_masses(d, d.support, np.concatenate([up, ~up]))
     plus, minus = log_parts(sums[:, :len(up)], p_t, den)
     worst, total = 0.0, d.total_mass()
@@ -460,7 +471,7 @@ def child_meet_mass_identity_max_dev(d: JointDistribution,
     over the support; this is what makes the closed-form atom a telescoping
     product of actual event probabilities.
     """
-    lat = lattice or enumerate_lattice(d.n_sources)
+    lat = _lattice_of(d, lattice)
     j, g, mb, mbg = np.array(_child_meet_plan(lat), dtype=np.intp).reshape(-1, 4).T
     sums, _, den = _union_masses(d, d.support, lat.kernel_up_sets(d.mass_array[0]))
     worst = max(np.abs(s[mbg] - (s[mb] + s[g] - s[j])).max(initial=0) for s in sums)
@@ -477,7 +488,7 @@ def atom_via_closed_form(d: JointDistribution, r: Realization, alpha: Antichain,
     ("plus") or the misinformative part ("minus"); the latter runs the
     same formula under the target-conditioned measure.
     """
-    lat = lattice or enumerate_lattice(d.n_sources)
+    lat = _lattice_of(d, lattice)
     if which not in ("plus", "minus"):
         raise ValueError("which must be 'plus' or 'minus'")
     plus, minus, p_t = node_event_probabilities(d, r, lat)
@@ -627,7 +638,7 @@ def axiom_suite(d: JointDistribution,
     against independently computed marginal surprisals, and (d) monotone
     increase of i+/i- along every lattice cover edge.
     """
-    lat = lattice or enumerate_lattice(d.n_sources)
+    lat = _lattice_of(d, lattice)
     report = CheckReport()
     n, nodes = d.n_sources, lat.nodes
     all_colls = [tuple(i + 1 for i in range(n) if m >> i & 1)

@@ -194,6 +194,16 @@ def _reference_cases():
         pt = rand_point(n, rng, t_card)
         nodes = range(len(enumerate_lattice(n)))
         yield pt, nodes if n < 4 else list(nodes)[::15] + [165], None
+    # n = 5 at 4 cells: the node with the most children (10, so 1,024 rows
+    # in its plan), the top and {1,2}{3,4}
+    lat = enumerate_lattice(5)
+    most = max(range(len(lat)), key=lambda j: len(lat.children_table[j]))
+    nodes = [most, lat.index(lat.top), lat.index(lat.node_by_name("{1,2}{3,4}"))]
+    for t_card in (2, 3):
+        pt = rand_point(5, rng, t_card)
+        support = np.zeros(pt.p.size, dtype=bool)
+        support[rng.choice(pt.p.size, 4, replace=False)] = True
+        yield pt, nodes, support
     # mechanism-fixed joint of xor: half the grid cells have zero mass
     d = xor_distribution()
     mech, _ = G.mechanism_from_distribution(d)
@@ -441,9 +451,9 @@ def test_reused_plans_give_the_bits_of_fresh_ones():
                     assert G._grid_plan.cache_info().hits == hits + 1
                     assert _same_bits(got, want)
     plan, bins = G._grid_plan(shape, np.arange(p1.size, dtype=np.intp).tobytes())
-    rows, _, mu = G._node_plan(3, j)
+    rows, passes, signs = G._node_plan(3, j)
     assert not any(a.flags.writeable for a in (plan.agree, plan.same_target,
-                                               bins, rows, mu))
+                                               bins, rows, signs, *passes[0]))
 
 
 def test_plan_keys_tell_cells_dtype_and_grid_shape_apart():
@@ -463,16 +473,16 @@ def test_plan_keys_tell_cells_dtype_and_grid_shape_apart():
 def test_plan_caches_are_bounded():
     for cache in (G._grid_points, G._grid_plan, G._node_plan):
         assert cache.cache_info().maxsize is not None
-    # a node plan holds its full-length mu and one row and one pass pair per
-    # child subset, so the node with the most children (10 at n = 5) has the
+    # a node plan holds one row, one sign and one pass pair per child
+    # subset, so the node with the most children (10 at n = 5) has the
     # largest; the module docstring states 16 of them at n = 5
     lat = enumerate_lattice(5)
     most = max(range(len(lat)), key=lambda j: len(lat.children_table[j]))
-    rows, passes, mu = G._node_plan(5, most)
+    rows, passes, signs = G._node_plan(5, most)
     assert len(rows) == 1 << 10
-    size = rows.nbytes + mu.nbytes + sum(u.nbytes + d.nbytes for u, d in passes)
-    assert size <= 86e3
-    assert G._node_plan.cache_info().maxsize * size <= 1.4e6
+    size = rows.nbytes + signs.nbytes + sum(u.nbytes + d.nbytes for u, d in passes)
+    assert size <= 33e3
+    assert G._node_plan.cache_info().maxsize * size <= 0.53e6
     # a grid plan holds 17 bytes per (realization, cell), as the module
     # docstring states; two are kept, and an optimizer run reuses one
     assert G._grid_plan.cache_info().maxsize == 2

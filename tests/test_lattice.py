@@ -13,7 +13,7 @@ from sxpid.lattice import (Antichain, BoundaryError, LatticeError, NODE_COUNTS,
                            RedundancyLattice,
                            closed_form_atom, closed_form_plan, coalition_up_sets,
                            enumerate_lattice, invert_array, leq, log_parts,
-                           meet, moebius_invert, moebius_row, node_passes,
+                           meet, moebius_invert, node_passes,
                            normalize_antichain, parse_node_name, run_passes)
 from sxpid.report import display_order
 
@@ -397,16 +397,16 @@ def test_invert_array_matrix_is_columnwise_bit_for_bit(n):
 
 
 def _check_node_passes(lat, j, vectors):
-    rows, passes = node_passes(lat, j)
+    rows, passes, signs = node_passes(lat, j)
     kids = lat.children_table[j]
-    mu = moebius_row(lat, j)
-    # the rows are the support of mu: the meets of subsets B of the
-    # children, where mu is (-1)^|B|; each row but j is the lower of one pair
+    # the rows are the meets of subsets B of the children, where mu is
+    # (-1)^|B|; each row but j is the lower of one pair
     meets = lat.subset_meets(j, kids)
     assert rows[0] == j and len(rows) == 2 ** len(kids)
-    assert sorted(rows.tolist()) == np.flatnonzero(mu).tolist()
     assert set(rows.tolist()) == set(meets)
-    assert mu[meets].tolist() == [(-1.0) ** bin(b).count("1") for b in range(len(meets))]
+    at = {u: i for i, u in enumerate(rows.tolist())}
+    assert signs[[at[m] for m in meets]].tolist() == [
+        (-1.0) ** bin(b).count("1") for b in range(len(meets))]
     lowers = np.concatenate([[0]] + [lower for _, lower in passes])
     assert sorted(lowers.tolist()) == list(range(len(rows)))
     # row j only: the other rows are left where the pairs j reads leave them
@@ -450,24 +450,26 @@ def test_invert_array_of_identity_is_moebius_function(n):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_moebius_row_is_row_of_inverted_identity(n):
+def test_node_signs_are_row_of_inverted_identity(n):
+    # the plan's rows are the support of mu(., j), and its signs mu there
     lat = enumerate_lattice(n)
     mu = invert_array(lat, np.eye(len(lat)))
     bottom = lat.index(lat.bottom)
     for j in range(len(lat)):
-        row = moebius_row(lat, j)
-        assert np.array_equal(row, mu[j])
-        assert row.sum() == (1.0 if j == bottom else 0.0)
+        rows, _, signs = node_passes(lat, j)
+        assert sorted(rows.tolist()) == np.flatnonzero(mu[j]).tolist()
+        assert np.array_equal(signs, mu[j, rows])
+        assert signs.sum() == (1.0 if j == bottom else 0.0)
 
 
-def test_moebius_row_is_adjoint_of_invert_array_n5():
+def test_node_signs_are_adjoint_of_invert_array_n5():
     lat = enumerate_lattice(5)
     v = np.random.default_rng(5).uniform(-5, 5, len(lat))
     pi = invert_array(lat, v)
     for j in (lat.index(lat.bottom), 1000, 4321, lat.index(lat.top)):
-        row = moebius_row(lat, j)
-        assert abs(row @ v - pi[j]) <= 1e-12
-        assert row.sum() == (1.0 if j == lat.index(lat.bottom) else 0.0)
+        rows, _, signs = node_passes(lat, j)
+        assert abs(signs @ v[rows] - pi[j]) <= 1e-12
+        assert signs.sum() == (1.0 if j == lat.index(lat.bottom) else 0.0)
 
 
 def test_moebius_missing_node():
