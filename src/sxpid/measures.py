@@ -336,7 +336,8 @@ def average_decomposition(d: JointDistribution,
                           ) -> AverageDecomposition:
     """Mass-weighted averages over the support (zero-mass outcomes carry
     no weight and are never evaluated)."""
-    decs = decompositions or decompose_support(d, lattice)
+    lat = _lattice_of(d, lattice)
+    decs = decompositions or decompose_support(d, lat)
     weights = np.array([float(dec.weight) for dec in decs])
     # the products are those of a per-term fsum, so each sum is the
     # correctly rounded one

@@ -531,17 +531,18 @@ _XOR_R = Realization(t=0, s=(1, 1))
     lambda d, lat: M.pointwise_decomposition(d, _XOR_R, lat),
     lambda d, lat: M.decompose_support(d, lat),
     lambda d, lat: M.average_decomposition(d, lat),
+    lambda d, lat: M.average_decomposition(
+        d, lat, decompositions=M.decompose_support(d)),
     lambda d, lat: M.node_event_probabilities(d, _XOR_R, lat),
     lambda d, lat: M.form_equivalence_max_dev(d, lat),
     lambda d, lat: M.child_meet_mass_identity_max_dev(d, lat),
     lambda d, lat: M.atom_via_closed_form(d, _XOR_R, node(2, [1], [2]), "plus", lat),
     lambda d, lat: M.axiom_suite(d, lat),
-], ids=["pointwise", "support", "average", "event_probabilities",
-        "form_equivalence", "child_meet", "closed_form", "axiom_suite"])
+], ids=["pointwise", "support", "average", "average_of_given",
+        "event_probabilities", "form_equivalence", "child_meet", "closed_form",
+        "axiom_suite"])
 @pytest.mark.parametrize("n", [1, 3])
 def test_lattice_over_another_source_count_rejected(call, n):
-    # at the parent a 3-source lattice gave 18 masses or 0.0 for xor, or a
-    # log error, and a 1-source one an IndexError
     d = xor_distribution()
     with pytest.raises(DistributionError,
                        match=rf"^lattice over {n} sources, distribution has 2$"):
