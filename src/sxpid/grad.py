@@ -169,10 +169,6 @@ def _node_plan(n: int, j: int) -> tuple[np.ndarray, tuple, np.ndarray]:
     return rows, tuple(passes), signs
 
 
-#: The plan ``_evaluate`` reads for each quantity: an atom's node plan, or
-#: for an i-part the node's own row, no pass, sign 1.
-_PLANS = {"pi": _node_plan, "i": lambda n, j: (np.array([j]), (), np.ones(1))}
-
 
 def _event_masses(p: np.ndarray, shape: tuple[int, ...], cells: Sequence[int],
                   ) -> tuple[EventPlan, np.ndarray, np.ndarray, np.ndarray]:
@@ -207,14 +203,15 @@ def _cell(shape: tuple[int, ...], r: Realization) -> int:
 def _evaluate(p: np.ndarray, shape: tuple[int, ...], cells: np.ndarray, j: int,
               quantity: str, which: str) -> tuple[np.ndarray, np.ndarray]:
     """Node j's i-part ("i") or atom ("pi") at the realizations on the grid
-    ``cells``, from its plan in ``_PLANS``, and its partials in the
-    agreement basis (module docstring).
+    ``cells``, from its node plan (for an i-part, the one row j, no pass,
+    sign 1), and its partials in the agreement basis (module docstring).
 
     Returns ``(values, rows)``: values[r] at the realization on cells[r],
     and rows[r, k], its partial with respect to raw coordinate k.
     """
     _check_which(which)
-    rows, passes, signs = _PLANS[quantity](len(shape) - 1, j)
+    rows, passes, signs = (_node_plan(len(shape) - 1, j) if quantity == "pi"
+                           else (np.array([j]), (), np.ones(1)))
     plan, bins, sums, p_t = _event_masses(p, shape, cells)
     sums = sums.take(rows, axis=1)
     # one rows x 2R buffer: i+ of every realization, then i-

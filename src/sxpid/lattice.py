@@ -416,8 +416,9 @@ def node_passes(lattice: RedundancyLattice, j: int,
     read too; a dropped pair writes a row that nothing after it reads. So
     ``run_passes(v[rows], passes)[0]`` makes the subtractions of
     ``invert_array(lattice, v)[j]`` on the same operands in the same
-    order, and has the same bits; run on the identity it gives the weight
-    of each row in that sum, ``signs``.
+    order, and has the same bits. ``signs`` are the rows' weights in that
+    sum: the pairs run backwards, ``upper`` and ``lower`` swapped, from 1
+    at j (exact, as a pass's lower rows are distinct and not upper rows).
 
     The lattice is distributive, so mu(u, j) is nonzero only where [u, j]
     is Boolean, that is at the 2^k meets of subsets B of j's k children
@@ -436,8 +437,10 @@ def node_passes(lattice: RedundancyLattice, j: int,
     rows = np.concatenate([[j], np.flatnonzero(need)])
     at = np.empty(len(need), dtype=np.intp)
     at[rows] = np.arange(len(rows))
-    passes = [(at[upper], at[lower]) for upper, lower in reversed(kept)]
-    return rows, passes, run_passes(np.eye(len(rows)), passes)[0]
+    signs = np.where(rows == j, 1.0, 0.0)
+    for upper, lower in kept:
+        signs[at[lower]] -= signs[at[upper]]
+    return rows, [(at[upper], at[lower]) for upper, lower in reversed(kept)], signs
 
 
 def moebius_invert(lattice: RedundancyLattice,

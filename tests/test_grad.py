@@ -480,7 +480,10 @@ def test_plan_caches_are_bounded():
     most = max(range(len(lat)), key=lambda j: len(lat.children_table[j]))
     rows, passes, signs = G._node_plan(5, most)
     assert len(rows) == 1 << 10
-    size = rows.nbytes + signs.nbytes + sum(u.nbytes + d.nbytes for u, d in passes)
+    # each array owns its buffer, so nbytes is what the cache holds
+    held = [rows, signs, *(x for pair in passes for x in pair)]
+    assert all(x.base is None for x in held)
+    size = sum(x.nbytes for x in held)
     assert size <= 33e3
     assert G._node_plan.cache_info().maxsize * size <= 0.53e6
     # a grid plan holds 17 bytes per (realization, cell), as the module
