@@ -5,21 +5,23 @@ Probabilities of compound events (unions/intersections of cylinder events)
 are sums of the masses of the points inside them, never inclusion-exclusion
 over floats, so no cancellation error can reach the logarithms taken
 downstream. ``union_event_masses`` is the event-mass kernel behind every
-decomposition and gradient, for many realizations at once: it adds the
+union mass the package computes, for many realizations at once: it adds the
 masses in point order into one bin per agreement mask, then each union sums
 its bins in one 2^n-term product per realization (``event_plan`` bins the
 points at the realizations, ``plan_event_masses`` adds the masses; a
 gradient keeps the plan across evaluations). Exact masses enter it as
 integer numerators (``mass_array``), so their sums are exact; float sums
 are not correctly rounded (off by up to about K + 2^n units in the last
-place for K masses). ``event_probability`` and ``mass_where`` scan the
-support with Python predicates and serve as the independent check.
+place for K masses). ``event_probability``, ``mass_where`` and
+``CylinderEvent`` scan the support with Python predicates; nothing else in
+the package calls them, and they serve the tests as the independent check.
 
-Masses are kept as `fractions.Fraction` whenever they were given exactly
-(file input, builtin generators) and as floats otherwise. Zero-mass
-realizations are dropped at construction time: pointwise quantities are
-only ever evaluated at support points, which guarantees every event
-containing the realization has positive mass.
+A distribution is exact when no mass is a float (``JointDistribution.exact``,
+the one test): its masses are ``fractions.Fraction``s (file input, builtin
+generators) or ints. One float mass makes every mass a float, read, summed
+and written as such. Zero-mass realizations are dropped at construction
+time: pointwise quantities are only ever evaluated at support points,
+which guarantees every event containing the realization has positive mass.
 """
 
 from __future__ import annotations
@@ -39,9 +41,6 @@ import numpy as np
 Mass = Union[Fraction, float]
 
 DEFAULT_NORMALIZATION_TOLERANCE = 1e-9
-
-#: Reports carry exact rationals only while denominators stay representable.
-MAX_EXACT_DENOMINATOR = 2**64
 
 #: Mass literals with more digits, or a larger exponent magnitude, are
 #: rejected: ``Fraction`` would build the full integer. 4,300 is Python's
@@ -123,11 +122,8 @@ class CylinderEvent:
         return all(r.s[pos] == sym for pos, sym in self.sources)
 
 
-def _sum_masses(masses: Iterable[Mass]) -> Mass:
-    items = list(masses)
-    if any(isinstance(m, float) for m in items):
-        return math.fsum(items)
-    return sum(items, Fraction(0))
+def _sum_masses(exact: bool, masses: Iterable[Mass]) -> Mass:
+    return sum(masses, Fraction(0)) if exact else math.fsum(masses)
 
 
 @dataclass(frozen=True)
@@ -166,7 +162,7 @@ class JointDistribution:
                 raise DistributionError(f"duplicate realization {r}")
             seen.add(r)
         try:
-            total = float(_sum_masses(self.masses))
+            total = float(_sum_masses(self.exact, self.masses))
         except OverflowError:  # a rational sum beyond the float range
             total = math.inf
         if abs(total - 1.0) > self.normalization_tolerance:
@@ -199,9 +195,9 @@ class JointDistribution:
 
     @cached_property
     def exact(self) -> bool:
-        """True when every mass is a Fraction with a representable denominator."""
-        return all(isinstance(m, Fraction) and m.denominator <= MAX_EXACT_DENOMINATOR
-                   for m in self.masses)
+        """The one test of exactness: no mass is a float, so all are rationals
+        (``Fraction``s or ints). One float mass makes every mass a float."""
+        return not any(isinstance(m, float) for m in self.masses)
 
     @cached_property
     def support_array(self) -> np.ndarray:
@@ -213,12 +209,12 @@ class JointDistribution:
     def mass_array(self) -> tuple[np.ndarray, int | None]:
         """The support masses as an array, and the denominator under it.
 
-        Float masses come as float64 with denominator None. Otherwise the
-        masses are integer numerators over their least common denominator,
-        as int64 when their total fits and as Python ints when it does not,
-        so every sum of them is exact.
+        The masses of an inexact distribution come as float64 with
+        denominator None. Exact masses are integer numerators over their
+        least common denominator, as int64 when their total fits and as
+        Python ints when it does not, so every sum of them is exact.
         """
-        if any(isinstance(m, float) for m in self.masses):
+        if not self.exact:
             return np.array(self.masses, dtype=float), None
         masses = [Fraction(m) for m in self.masses]
         den = math.lcm(*(m.denominator for m in masses))
@@ -232,11 +228,11 @@ class JointDistribution:
 
     def mass_where(self, predicate: Callable[[Realization], bool]) -> Mass:
         """Total mass of support points satisfying ``predicate``."""
-        return _sum_masses(m for r, m in zip(self.support, self.masses)
-                           if predicate(r))
+        return _sum_masses(self.exact, (m for r, m in zip(self.support, self.masses)
+                                        if predicate(r)))
 
     def total_mass(self) -> Mass:
-        return _sum_masses(self.masses)
+        return _sum_masses(self.exact, self.masses)
 
 
 def event_probability(d: JointDistribution, events: Sequence[CylinderEvent],
@@ -381,9 +377,10 @@ def _parse_mass(text: str, where: str) -> Fraction:
         raise DistributionFormatError(f"{where}: cannot parse mass {text!r}") from None
 
 
-def _format_mass(m: Mass) -> str:
-    if isinstance(m, float):
-        return repr(m)
+def _format_mass(m: Mass, exact: bool) -> str:
+    """A mass as text: its float's repr, or exactly if the distribution is."""
+    if not exact:
+        return repr(float(m))
     den = m.denominator
     twos = fives = 0
     while den % 2 == 0:
@@ -528,7 +525,7 @@ def dump_csv(d: JointDistribution) -> str:
     def write(r: Realization, m: Mass) -> None:
         writer.writerow([d.target_alphabet.label(r.t)]
                         + [a.label(si) for a, si in zip(d.source_alphabets, r.s)]
-                        + [_format_mass(m)])
+                        + [_format_mass(m, d.exact)])
 
     sizes = [len(d.target_alphabet)] + [len(a) for a in d.source_alphabets]
     leading = [Realization(t=min(k, sizes[0] - 1),
@@ -552,7 +549,7 @@ def dump_json(d: JointDistribution) -> str:
         "support": [
             {"t": d.target_alphabet.label(r.t),
              "s": [a.label(si) for a, si in zip(d.source_alphabets, r.s)],
-             "p": _format_mass(m)}
+             "p": _format_mass(m, d.exact)}
             for r, m in zip(d.support, d.masses)
         ],
     }

@@ -72,7 +72,7 @@ def _coalition_masks(n: int, collections: Iterable[Iterable[int]]) -> list[int]:
                 raise LatticeError(f"source index {i} outside 1..{n}")
             mask |= 1 << (i - 1)
         if mask == 0:
-            raise LatticeError("empty coalition not allowed")
+            raise LatticeError("coalition must be nonempty")
         masks.append(mask)
     return masks
 

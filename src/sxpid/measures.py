@@ -11,12 +11,13 @@ E_alpha and of its intersection with the target event:
 
 Both probabilities come from the event-mass kernel
 ``dist.union_event_masses``, one call per table of unions at one
-realization, and one in all for each check that scans the support. Exact
-masses are summed as integer numerators; float masses are binned by
-agreement mask in support order, and each union sums its bins in one
-product, which is not correctly rounded. ``lattice.log_parts`` takes the
-logs, as for ``grad``. The support scan of ``dist.event_probability`` and
-the per-mass logs of the derived forms remain as independent checks.
+realization, and one in all for each check that scans the support; so do
+the self-shared information (one row, which ignores the target) and the
+statement channel (one call for all its statements). Exact masses are
+summed as integer numerators; float masses are binned by agreement mask in
+support order, and each union sums its bins in one product, which is not
+correctly rounded. ``lattice.log_parts`` takes the logs, as for ``grad``.
+The per-mass logs of the derived forms remain as independent checks.
 
 The per-node increments pi+/pi-/pi are recovered by Moebius inversion of
 i+/i- over the lattice (``lattice.invert_array``, one vector per part);
@@ -29,12 +30,14 @@ decomposition keeps its six fields as one read-only 6 x N float block;
 the tuple accessors are built on first read. All logarithms are base 2;
 every quantity is in bits.
 
-When the distribution's masses are exact rationals, pointwise quantities
-are logs of rationals; for small lattices the exact log-arguments are
-carried along so reports can print them (paper-style tables are exact
-logs of small fractions). Their atoms are products of the log-arguments
-raised to the Moebius function, which ``invert_array`` gives when applied
-to the identity matrix.
+When the distribution is exact (``JointDistribution.exact``: no mass is a
+float), pointwise quantities are logs of rationals; for small lattices
+(``EXACT_RATIO_NODE_LIMIT``) and masses whose common denominator is at most
+``MAX_EXACT_DENOMINATOR`` the exact log-arguments are carried along so
+reports can print them (paper-style tables are exact logs of small
+fractions). Their atoms are products of the log-arguments raised to the
+Moebius function, which ``invert_array`` gives when applied to the
+identity matrix.
 """
 
 from __future__ import annotations
@@ -47,16 +50,18 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .dist import (Alphabet, CylinderEvent, DistributionError, JointDistribution,
-                   Mass, Realization, _sum_masses, marginal, regroup,
-                   union_event_masses)
-from .lattice import (Antichain, RedundancyLattice, _as_masses, _log2,
-                      closed_form_atom_at, coalition_up_sets, enumerate_lattice,
-                      invert_array, log_parts)
+from .dist import (Alphabet, DistributionError, JointDistribution, Mass,
+                   Realization, _sum_masses, marginal, regroup, union_event_masses)
+from .lattice import (Antichain, LatticeError, RedundancyLattice, _as_masses,
+                      _coalition_masks, _log2, closed_form_atom_at,
+                      coalition_up_sets, enumerate_lattice, invert_array, log_parts)
 
-#: Exact rational log-arguments are carried only for lattices this small;
-#: beyond n=3 the fractions grow without bound through the recursion.
+#: Exact rational log-arguments are carried only for lattices this small
+#: (beyond n=3 the fractions grow without bound through the recursion), and
+#: only while the common denominator of the masses (``mass_array``) is at
+#: most ``MAX_EXACT_DENOMINATOR``.
 EXACT_RATIO_NODE_LIMIT = 18
+MAX_EXACT_DENOMINATOR = 2**64
 
 
 def _union_masses(d: JointDistribution, rs: Sequence[Realization],
@@ -77,19 +82,6 @@ def _masses_at(d: JointDistribution, r: Realization, up_sets: np.ndarray,
     """P(E_u) and P(t & E_u) for every up-set row u at r, and P(t)."""
     sums, p_t, den = _union_masses(d, [r], up_sets)
     return *_as_masses(sums[0].T, den).tolist(), *_as_masses(p_t, den).tolist()
-
-
-def _coalition_mask(d: JointDistribution, coalition: Iterable[int]) -> int:
-    coalition = tuple(coalition)
-    mask = 0
-    for i in coalition:
-        if not 1 <= i <= d.n_sources:
-            raise DistributionError(f"source index {i} in coalition {coalition} "
-                                    f"out of range 1..{d.n_sources}")
-        mask |= 1 << (i - 1)
-    if mask == 0:
-        raise DistributionError("coalition must be nonempty, got ()")
-    return mask
 
 
 def _check_alpha(d: JointDistribution, alpha: Antichain) -> np.ndarray:
@@ -165,7 +157,10 @@ def i_sx_parts_from_collections(d: JointDistribution, r: Realization,
     which is what the symmetry and monotonicity checks need. A source
     index outside 1..n or an empty coalition raises DistributionError.
     """
-    masks = [_coalition_mask(d, c) for c in collections]
+    try:
+        masks = _coalition_masks(d.n_sources, collections)
+    except LatticeError as exc:
+        raise DistributionError(str(exc)) from None
     parts = log_parts(*_union_masses(d, [r], coalition_up_sets(d.n_sources, [masks])))
     return parts[0].item(), parts[1].item()
 
@@ -173,9 +168,11 @@ def i_sx_parts_from_collections(d: JointDistribution, r: Realization,
 def local_mi(d: JointDistribution, r: Realization,
              coalition: Iterable[int]) -> float:
     """Plain pointwise mutual information of one coalition about the target."""
-    mask = _coalition_mask(d, coalition)
-    (p_a,), (p_ta,), p_t = _masses_at(
-        d, r, coalition_up_sets(d.n_sources, [[mask]]))
+    try:
+        masks = _coalition_masks(d.n_sources, [coalition])
+    except LatticeError as exc:
+        raise DistributionError(str(exc)) from None
+    (p_a,), (p_ta,), p_t = _masses_at(d, r, coalition_up_sets(d.n_sources, [masks]))
     return _log2(p_ta) - _log2(p_a) - _log2(p_t)
 
 
@@ -185,18 +182,19 @@ def self_shared(d: JointDistribution, s: Sequence[int], alpha: Antichain) -> flo
     Equals -log2 of the union-event probability; nonnegative, and an upper
     bound on i_sx(u : alpha) for every target symbol u. Nonzero even for
     independent sources whenever the union event is not almost sure, which
-    is how mechanistic shared information arises.
+    is how mechanistic shared information arises. The event ignores the
+    target, so its mass is the kernel's at the row (0, *s), which need not
+    be a support point.
     """
-    _check_alpha(d, alpha)
+    up_set = _check_alpha(d, alpha)
     if len(s) != d.n_sources:
         raise DistributionError("source outcome has wrong arity")
     for i, (si, alph) in enumerate(zip(s, d.source_alphabets)):
         if not 0 <= si < len(alph):
             raise DistributionError(f"source {i + 1} index {si} out of range in {tuple(s)}")
-    events = [CylinderEvent(sources=tuple((i - 1, s[i - 1]) for i in coll))
-              for coll in alpha.collections]
-    p = d.mass_where(lambda sp: any(ev.matches(sp) for ev in events))
-    return -_log2(p)
+    masses, den = d.mass_array
+    _, sums, _ = union_event_masses(up_set, d.support_array, masses, np.array([(0, *s)]))
+    return -_log2(_as_masses(sums[:, 0, 0], den).item())
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +296,8 @@ def pointwise_decomposition(d: JointDistribution, r: Realization,
     pim = invert_array(lat, im)
 
     exact = {}
-    if d.exact and len(lat.nodes) <= EXACT_RATIO_NODE_LIMIT:
+    if (d.exact and len(lat.nodes) <= EXACT_RATIO_NODE_LIMIT
+            and den <= MAX_EXACT_DENOMINATOR):
         p_plus, p_minus = _as_masses(sums[0].T, den).tolist()
         (p_t,) = _as_masses(p_t, den).tolist()
         ri_plus = [1 / p for p in p_plus]
@@ -528,7 +527,7 @@ def condition_on_target_group(d: JointDistribution, group_of: Sequence[int],
     sel = [(r, m) for r, m in zip(d.support, d.masses) if group_of[r.t] == group]
     if not sel:
         raise DistributionError(f"target group {group!r} has zero probability")
-    total = _sum_masses(m for _, m in sel)
+    total = _sum_masses(d.exact, (m for _, m in sel))
     points = [(r, m / total) for r, m in sel]
     return JointDistribution.from_points(
         d.target_alphabet, d.source_alphabets, points,
@@ -739,8 +738,8 @@ def duplicate_invariance_check(d: JointDistribution,
                           f"sources {i} and {j} differ on support")
             return report
     lat = enumerate_lattice(n)
-    swaps = coalition_up_sets(n, [
-        [_coalition_mask(d, [i if x == j else x for x in coll]) for coll in a.collections]
+    swaps = coalition_up_sets(n, [_coalition_masks(
+        n, [[i if x == j else x for x in coll] for coll in a.collections])
         for a in lat.nodes])
     parts = log_parts(*_union_masses(d, d.support, np.concatenate([lat.up_sets, swaps])))
     if expected_pi:
@@ -800,20 +799,22 @@ def v_channel_xor() -> VChannelReport:
     from .builtins import xor_distribution
 
     d = xor_distribution()
-    rows = []
-    weighted_all = []
-    weighted_shared = []
+    # "S1 = a or S2 = b" is the union event V of {1}{2} at s = (a, b), so one
+    # kernel call at every row (t, a, b) gives each P(V), P(t & V) and P(t)
+    grid = [(t, a, b) for t in range(2) for a in range(2) for b in range(2)]
+    masses, den = d.mass_array
+    _, sums, p_t = union_event_masses(coalition_up_sets(2, [[0b01, 0b10]]),
+                                      d.support_array, masses, np.array(grid))
+    # (t, a, b) -> (P(t | V), P(t))
+    at = {row: (p_tv / p_v, p) for row, (p_v, p_tv), p in zip(
+        grid, _as_masses(sums[:, 0], den).tolist(), _as_masses(p_t, den).tolist())}
+    rows, weighted_all, weighted_shared = [], [], []
     for r, m in zip(d.support, d.masses):
         s1, s2 = r.s
         statements = [(s1, s2), (s1, 1 - s2), (1 - s1, s2)]
         for idx, (a, b) in enumerate(statements):
-            pred_match = lambda sp, a=a, b=b: sp.s[0] == a or sp.s[1] == b
-            p_v = d.mass_where(pred_match)
-            post = {t: d.mass_where(lambda sp: pred_match(sp) and sp.t == t) / p_v
-                    for t in range(len(d.target_alphabet))}
-            predicted = max(post, key=lambda t: (post[t], -t))
-            p_t = d.mass_where(lambda sp: sp.t == r.t)
-            info = _log2(post[r.t]) - _log2(p_t)
+            predicted = max(range(2), key=lambda t: (at[t, a, b][0], -t))
+            info = _log2(at[r.t, a, b][0]) - _log2(at[r.t, a, b][1])
             row = ChannelRow(realization=r, statement=(a, b),
                              carries_shared=(idx == 0), predicted_t=predicted,
                              correct=(predicted == r.t), info_bits=info)

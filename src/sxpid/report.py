@@ -18,7 +18,6 @@ item per line; other dicts and lists item by item; the rest by ``json``.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, compress
 from json.encoder import encode_basestring_ascii
@@ -61,8 +60,7 @@ def decomposition_report(d: JointDistribution, avg: AverageDecomposition,
                 "s": [a.label(si) for a, si in
                       zip(d.source_alphabets, dec.realization.s)],
                 "weight": float(dec.weight),
-                "weight_exact": _format_mass(dec.weight)
-                if isinstance(dec.weight, Fraction) else None,
+                "weight_exact": _format_mass(dec.weight, True) if d.exact else None,
                 "nodes": _pointwise_blocks(dec, names, order),
             }
             for dec in decompositions
@@ -235,7 +233,7 @@ def render_pointwise_tables(d: JointDistribution,
     sections = []
     for dec in decompositions:
         head = (f"{realization_label(d, dec.realization)}  "
-                f"p={_format_mass(dec.weight)}")
+                f"p={_format_mass(dec.weight, d.exact)}")
         sections.append(head + "\n" + _table(
             ["node", "i+", "i-", "i", "pi+", "pi-", "pi"],
             _value_rows(dec.lattice, dec.block, precision, keep)))

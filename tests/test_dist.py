@@ -193,6 +193,44 @@ def test_builtins_reload_from_both_dumps(name):
     assert load_distribution(dump_json(d), "json") == d
 
 
+# ---------------------------------------------------------------------------
+# one rule for exactness: a distribution is exact when no mass is a float
+# ---------------------------------------------------------------------------
+
+def test_masses_over_a_denominator_beyond_2_64_are_exact():
+    # 10^20 > 2^64: still exact, with exact zeros for points off the support
+    d = load_distribution("t,s1,s2,p\n0,0,0,0.24999999999999999999\n"
+                          "1,0,1,0.25000000000000000001\n1,1,0,0.25\n0,1,1,0.25\n",
+                          "csv")
+    assert d.exact and d.mass_array[1] == 10**20
+    missing = d.mass(Realization(t=0, s=(0, 1)))
+    assert type(missing) is Fraction and missing == 0
+    assert load_distribution(dump_csv(d), "csv") == d
+
+
+def test_python_int_masses_are_exact():
+    d = JointDistribution.from_points(bits("t"), [bits("s1")],
+                                      [(Realization(t=1, s=(0,)), 1),
+                                       (Realization(t=0, s=(1,)), 0)])
+    assert d.masses == (1,) and d.exact
+    masses, den = d.mass_array
+    assert masses.tolist() == [1] and den == 1
+    assert type(d.mass(Realization(t=0, s=(0,)))) is Fraction
+
+
+def test_one_float_mass_makes_every_mass_a_float():
+    # a Fraction next to a float is summed, stored and written as a float
+    d = JointDistribution.from_points(bits("t"), [bits("s1")],
+                                      [(Realization(t=0, s=(0,)), Fraction(1, 3)),
+                                       (Realization(t=1, s=(1,)), np.float64(2 / 3))])
+    assert not d.exact
+    masses, den = d.mass_array
+    assert masses.dtype == float and den is None
+    assert d.mass(Realization(t=1, s=(0,))) == 0.0
+    assert dump_csv(d).splitlines()[1:] == ["0,0,0.3333333333333333",
+                                            "1,1,0.6666666666666666"]
+
+
 def test_zero_mass_rows_dropped():
     d = load_distribution("t,s1,p\n0,0,1\n1,1,0\n", "csv")
     assert len(d.support) == 1

@@ -13,7 +13,7 @@ from helpers import bits, grid_points, random_grid_distribution
 from sxpid import measures as M
 from sxpid import report
 from sxpid.builtins import builtin_distribution, builtin_names
-from sxpid.dist import JointDistribution
+from sxpid.dist import JointDistribution, Realization, load_distribution
 from sxpid.lattice import enumerate_lattice, invert_array
 
 SMALL_BUILTINS = [name for name in builtin_names() if ":" not in name] + [
@@ -239,3 +239,55 @@ def test_array_fields_equal_per_node_reference(d):
         assert getattr(avg, avg_name) == want
     assert avg == M.average_decomposition(d, lat)
     assert decs == M.decompose_support(d, lat)
+
+
+# ---------------------------------------------------------------------------
+# exact report fields: exact masses whose common denominator is at most
+# measures.MAX_EXACT_DENOMINATOR
+# ---------------------------------------------------------------------------
+
+def xor_support_with(*masses) -> JointDistribution:
+    return JointDistribution.from_points(
+        bits("t"), [bits("s1"), bits("s2")],
+        zip(builtin_distribution("xor").support, masses))
+
+
+def pointwise_doc(d: JointDistribution) -> list[dict]:
+    decs = M.decompose_support(d)
+    return report.decomposition_report(
+        d, M.average_decomposition(d, decompositions=decs), decs)["pointwise"]
+
+
+def test_exact_fields_need_a_common_denominator_within_the_bound():
+    q, a, b = Fraction(1, 4), Fraction(1, 2**40), Fraction(1, 3**30)
+    within = xor_support_with(q + a, q - a, q + 2 * a, q - 2 * a)
+    # each denominator is below 2^64, their least common multiple is not
+    beyond = xor_support_with(q + a, q - a, q + b, q - b)
+    assert max(m.denominator for m in beyond.masses) <= M.MAX_EXACT_DENOMINATOR
+    assert beyond.mass_array[1] == 2**40 * 3**30 > M.MAX_EXACT_DENOMINATOR
+    for d, has_fields in ((within, True), (beyond, False)):
+        assert d.exact
+        for point, m in zip(pointwise_doc(d), d.masses):
+            assert Fraction(point["weight_exact"]) == m
+            assert all(("exact" in block) == has_fields
+                       for block in point["nodes"].values())
+
+
+def test_exact_fields_of_a_denominator_beyond_2_64():
+    d = load_distribution("t,s1,s2,p\n0,0,0,0.24999999999999999999\n"
+                          "1,0,1,0.25000000000000000001\n1,1,0,0.25\n0,1,1,0.25\n",
+                          "csv")
+    point = pointwise_doc(d)[0]
+    assert point["weight_exact"] == "0.24999999999999999999"
+    assert not any("exact" in block for block in point["nodes"].values())
+    assert M.pointwise_decomposition(d, d.support[0]).exact_pi_plus is None
+
+
+def test_python_int_masses_carry_exact_fields():
+    d = JointDistribution.from_points(bits("t"), [bits("s1")],
+                                      [(Realization(t=0, s=(1,)), 1)])
+    (point,) = pointwise_doc(d)
+    assert point["weight_exact"] == "1"
+    assert all(block["exact"] == {"i_plus": "1", "i_minus": "1",
+                                  "pi_plus": "1", "pi_minus": "1"}
+               for block in point["nodes"].values())
