@@ -65,11 +65,11 @@ def _coalition_name(mask: int) -> str:
 def _coalition_masks(n: int, collections: Iterable[Iterable[int]]) -> list[int]:
     """Bit masks of 1-based index collections, checked against 1..n."""
     masks = []
-    for coll in collections:
+    for coll in map(tuple, collections):
         mask = 0
         for i in coll:
             if not 1 <= i <= n:
-                raise LatticeError(f"source index {i} outside 1..{n}")
+                raise LatticeError(f"source index {i} in coalition {coll} outside 1..{n}")
             mask |= 1 << (i - 1)
         if mask == 0:
             raise LatticeError("coalition must be nonempty")

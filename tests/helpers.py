@@ -8,6 +8,11 @@ from hypothesis import strategies as st
 from sxpid.dist import Alphabet, JointDistribution, Realization
 
 
+#: The XOR support with masses over the denominator 10^20, beyond 2^64.
+DEN_1E20_CSV = ("t,s1,s2,p\n0,0,0,0.24999999999999999999\n"
+                "1,0,1,0.25000000000000000001\n1,1,0,0.25\n0,1,1,0.25\n")
+
+
 def bits(name: str) -> Alphabet:
     return Alphabet(name, ("0", "1"))
 

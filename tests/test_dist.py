@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import bits, rational_distribution, rational_weights
+from helpers import DEN_1E20_CSV, bits, rational_distribution, rational_weights
 from sxpid.builtins import builtin_distribution
 from sxpid.dist import (Alphabet, CylinderEvent, DistributionError,
                         DistributionFormatError, JointDistribution, Realization,
@@ -199,9 +199,7 @@ def test_builtins_reload_from_both_dumps(name):
 
 def test_masses_over_a_denominator_beyond_2_64_are_exact():
     # 10^20 > 2^64: still exact, with exact zeros for points off the support
-    d = load_distribution("t,s1,s2,p\n0,0,0,0.24999999999999999999\n"
-                          "1,0,1,0.25000000000000000001\n1,1,0,0.25\n0,1,1,0.25\n",
-                          "csv")
+    d = load_distribution(DEN_1E20_CSV, "csv")
     assert d.exact and d.mass_array[1] == 10**20
     missing = d.mass(Realization(t=0, s=(0, 1)))
     assert type(missing) is Fraction and missing == 0

@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import bits, grid_points, random_grid_distribution
+from helpers import DEN_1E20_CSV, bits, grid_points, random_grid_distribution
 from sxpid import measures as M
 from sxpid import report
 from sxpid.builtins import builtin_distribution, builtin_names
@@ -265,22 +265,14 @@ def test_exact_fields_need_a_common_denominator_within_the_bound():
     beyond = xor_support_with(q + a, q - a, q + b, q - b)
     assert max(m.denominator for m in beyond.masses) <= M.MAX_EXACT_DENOMINATOR
     assert beyond.mass_array[1] == 2**40 * 3**30 > M.MAX_EXACT_DENOMINATOR
-    for d, has_fields in ((within, True), (beyond, False)):
+    decimals = load_distribution(DEN_1E20_CSV, "csv")
+    for d, has_fields in ((within, True), (beyond, False), (decimals, False)):
         assert d.exact
         for point, m in zip(pointwise_doc(d), d.masses):
             assert Fraction(point["weight_exact"]) == m
             assert all(("exact" in block) == has_fields
                        for block in point["nodes"].values())
-
-
-def test_exact_fields_of_a_denominator_beyond_2_64():
-    d = load_distribution("t,s1,s2,p\n0,0,0,0.24999999999999999999\n"
-                          "1,0,1,0.25000000000000000001\n1,1,0,0.25\n0,1,1,0.25\n",
-                          "csv")
-    point = pointwise_doc(d)[0]
-    assert point["weight_exact"] == "0.24999999999999999999"
-    assert not any("exact" in block for block in point["nodes"].values())
-    assert M.pointwise_decomposition(d, d.support[0]).exact_pi_plus is None
+    assert pointwise_doc(decimals)[0]["weight_exact"] == "0.24999999999999999999"
 
 
 def test_python_int_masses_carry_exact_fields():
