@@ -18,10 +18,11 @@ the package calls them, and they serve the tests as the independent check.
 
 A distribution is exact when no mass is a float (``JointDistribution.exact``,
 the one test): its masses are ``fractions.Fraction``s (file input, builtin
-generators) or ints. One float mass makes every mass a float, read, summed
-and written as such. Zero-mass realizations are dropped at construction
-time: pointwise quantities are only ever evaluated at support points,
-which guarantees every event containing the realization has positive mass.
+generators) or ints. With one float mass, ``mass_array`` gives every mass
+as a float, sums are ``math.fsum`` and the dumps write floats. Zero-mass
+realizations are dropped at construction time: pointwise quantities are
+only ever evaluated at support points, which guarantees every event
+containing the realization has positive mass.
 """
 
 from __future__ import annotations
@@ -196,7 +197,7 @@ class JointDistribution:
     @cached_property
     def exact(self) -> bool:
         """The one test of exactness: no mass is a float, so all are rationals
-        (``Fraction``s or ints). One float mass makes every mass a float."""
+        (``Fraction``s or ints) and are read and summed exactly."""
         return not any(isinstance(m, float) for m in self.masses)
 
     @cached_property
