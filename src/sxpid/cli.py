@@ -11,6 +11,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -25,6 +26,7 @@ from .lattice import (BoundaryError, LatticeError, enumerate_lattice,
                       parse_node_name)
 
 EXIT_OK = 0
+EXIT_BROKEN_PIPE = 1
 EXIT_VALIDATION = 2
 EXIT_ASSERTION = 3
 
@@ -500,7 +502,14 @@ def main(argv=None) -> int:
             if not low <= value <= high:
                 bound = f">= {low}" if value < low else f"<= {high}"
                 raise ValueError(f"--{option} must be {bound}, got {value}")
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # so that a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader went away (`| head`); as in the Python docs' SIGPIPE
+        # recipe, stdout goes to devnull so the flush at exit cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (DistributionError, LatticeError, BoundaryError, KeyError,
             OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -4,17 +4,18 @@ This module is the probability oracle for the rest of the package.
 Probabilities of compound events (unions/intersections of cylinder events)
 are sums of the masses of the points inside them, never inclusion-exclusion
 over floats, so no cancellation error can reach the logarithms taken
-downstream. ``union_event_masses`` is the event-mass kernel behind every
+downstream. ``plan_event_masses`` is the event-mass kernel behind every
 union mass the package computes, for many realizations at once: it adds the
 masses in point order into one bin per agreement mask, then each union sums
-its bins in one 2^n-term product per realization (``event_plan`` bins the
-points at the realizations, ``plan_event_masses`` adds the masses; a
-gradient keeps the plan across evaluations). Exact masses enter it as
-integer numerators (``mass_array``), so their sums are exact; float sums
-are not correctly rounded (off by up to about K + 2^n units in the last
-place for K masses). ``event_probability``, ``mass_where`` and
-``CylinderEvent`` scan the support with Python predicates; nothing else in
-the package calls them, and they serve the tests as the independent check.
+its bins in one 2^n-term product per realization. ``event_plan`` bins the
+points at the realizations first, once per set of points and rows (a
+gradient keeps it across evaluations); ``lattice.evaluate`` turns the
+kernel's masses into i+ and i-. Exact masses enter it as integer
+numerators (``mass_array``), so their sums are exact; float sums are not
+correctly rounded (off by up to about K + 2^n units in the last place for K
+masses). ``event_probability``, ``mass_where`` and ``CylinderEvent`` scan
+the support with Python predicates; nothing else in the package calls
+them, and they serve the tests as the independent check.
 
 A distribution is exact when no mass is a float (``JointDistribution.exact``,
 the one test): its masses are ``fractions.Fraction``s (file input, builtin
@@ -263,29 +264,40 @@ def event_probability(d: JointDistribution, events: Sequence[CylinderEvent],
 
 @dataclass(frozen=True)
 class EventPlan:
-    """What ``union_event_masses`` reads of the points and realizations
+    """What ``plan_event_masses`` reads of the points and realizations
     alone, for R realization rows over K points (``event_plan``)."""
 
     #: agree[r, k]: the mask of sources on which point k agrees with row r.
     agree: np.ndarray
     #: same_target[r, k]: point k has row r's target symbol.
     same_target: np.ndarray
+    #: at[r]: realization row r itself, (t, s_1, ..., s_n).
+    at: np.ndarray
 
 
 def event_plan(points: np.ndarray, at: np.ndarray) -> EventPlan:
     """The agreement masks and target matches of ``points`` at each
-    realization row of ``at`` (rows as in ``union_event_masses``)."""
+    realization row of ``at``; both are rows (t, s_1, ..., s_n) of symbol
+    indices."""
     agree = (points[None, :, 1:] == at[:, None, 1:]) @ (1 << np.arange(at.shape[1] - 1))
-    return EventPlan(agree, points[None, :, 0] == at[:, None, 0])
+    return EventPlan(agree, points[None, :, 0] == at[:, None, 0], at)
 
 
 def plan_event_masses(up_sets: np.ndarray, plan: EventPlan, masses: np.ndarray,
                       ) -> tuple[np.ndarray, np.ndarray]:
-    """``union_event_masses``'s sums and P(t) for the masses of a plan's points.
+    """Masses of unions of coalition events at each realization row of a plan.
 
-    ``up_sets`` is the boolean up-set matrix or a copy already of the
-    masses' dtype (``RedundancyLattice.kernel_up_sets``), which is read
-    without a cast. Masses are added into their bins in point order.
+    ``masses`` holds the plan's points' masses (float, int64 or Python-int
+    object array). Row u of ``up_sets`` marks the agreement masks (the
+    sources on which a point agrees with the realization) of the points
+    inside union u (``lattice.coalition_up_sets``), so a union's mass is a
+    sum of mask bins, and no realization's sums depend on the others.
+    ``up_sets`` is the boolean matrix or a copy already of the masses'
+    dtype (``RedundancyLattice.kernel_up_sets``), which is read without a
+    cast. Masses are added into their bins in point order.
+
+    Returns ``(sums, p_t)``: ``sums[r, u]`` is (mass of union u, mass of
+    union u within the target event T = t_r) and ``p_t[r]`` is the mass of T.
     """
     if up_sets.dtype not in (bool, masses.dtype):
         # a float copy would turn exact Python-int sums into floats
@@ -297,28 +309,6 @@ def plan_event_masses(up_sets: np.ndarray, plan: EventPlan, masses: np.ndarray,
     np.add.at(hist[..., 1], (rows, plan.agree), in_target)
     sums = np.matmul(up_sets.astype(masses.dtype, copy=False), hist)
     return sums, in_target.sum(axis=1)
-
-
-def union_event_masses(up_sets: np.ndarray, points: np.ndarray,
-                       masses: np.ndarray, at: np.ndarray,
-                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Masses of unions of coalition events at each realization row of ``at``.
-
-    ``points`` and the R rows of ``at`` are rows (t, s_1, ..., s_n) of
-    symbol indices; ``masses`` holds the points' masses (float, int64 or
-    Python-int object array). Row u of ``up_sets`` marks the agreement masks
-    (the sources on which a point agrees with the realization) of the points
-    inside union u (``lattice.coalition_up_sets``), so a union's mass is a
-    sum of mask bins, and no realization's sums depend on the others.
-    It is ``event_plan`` followed by ``plan_event_masses``; a caller that
-    evaluates many masses on the same points and rows keeps the plan.
-
-    Returns ``(agree, sums, p_t)``: ``agree[r, k]`` is point k's mask at
-    realization r, ``sums[r, u]`` is (mass of union u, mass of union u within
-    the target event T = t_r) and ``p_t[r]`` is the mass of T.
-    """
-    plan = event_plan(points, at)
-    return (plan.agree, *plan_event_masses(up_sets, plan, masses))
 
 
 def regroup(d: JointDistribution, key: Callable[[Realization], object]) -> dict:
@@ -479,20 +469,26 @@ def _json_rows(text: str) -> tuple[Alphabet, tuple[Alphabet, ...], list[Row]]:
 
     def alphabet(obj: Mapping, where: str) -> Alphabet:
         try:
-            return Alphabet(str(obj["name"]), tuple(str(x) for x in obj["symbols"]))
+            name, symbols = obj["name"], obj["symbols"]
         except (KeyError, TypeError):
             raise DistributionFormatError(f"{where}: need name and symbols") from None
+        if not isinstance(symbols, list):
+            raise DistributionFormatError(f"{where}: symbols must be a list")
+        return Alphabet(str(name), tuple(str(x) for x in symbols))
 
     try:
-        target = alphabet(doc["target_alphabet"], "target_alphabet")
-        sources = tuple(alphabet(a, f"source_alphabets[{i}]")
-                        for i, a in enumerate(doc["source_alphabets"]))
-        entries = doc["support"]
+        target, source_docs, entries = (doc["target_alphabet"],
+                                        doc["source_alphabets"], doc["support"])
     except (KeyError, TypeError):
         raise DistributionFormatError(
             "need target_alphabet, source_alphabets, support") from None
+    if not isinstance(source_docs, list):
+        raise DistributionFormatError("source_alphabets: expected a list of alphabets")
     if not isinstance(entries, list):
         raise DistributionFormatError("support: expected a list of points")
+    target = alphabet(target, "target_alphabet")
+    sources = tuple(alphabet(a, f"source_alphabets[{i}]")
+                    for i, a in enumerate(source_docs))
 
     rows = []
     for i, entry in enumerate(entries):

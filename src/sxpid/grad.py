@@ -33,24 +33,25 @@ stable child order.
 
 Plans. What an evaluation reads of the grid alone is made on the first
 evaluation and kept: per grid shape and cell set, the kernel's plan
-(``dist.event_plan``: agreement masks and target matches) and the mask
+(``dist.event_plan``: agreement masks, target matches and the
+realizations' rows, which name one in a ``BoundaryError``) and the mask
 bins that are the gather indices above, and per node, its
 ``node_passes``: its rows, their signs and one pass pair per row but j.
 A plan holds nothing of the pmf. An optimizer run reuses one grid plan,
-so 2 are kept; each holds 17 bytes per (realization, cell), 17 kB on the
-binary n = 4 grid and 9 MB on a (3,) * 6 one, about what one
-evaluation's gradient rows take while it runs. 16 node plans are kept,
-at 16 bytes per row and per pair; the largest, that of an n = 5 node
-with 10 children (1,024 rows, 1,023 pairs), is 33 kB, so they hold at
-most 0.53 MB.
+so 2 are kept; besides its rows, each holds 17 bytes per (realization,
+cell), 17 kB on the binary n = 4 grid and 9 MB on a (3,) * 6 one, about
+what one evaluation's gradient rows take while it runs. 16 node plans
+are kept, at 16 bytes per row and per pair; the largest, that of an
+n = 5 node with 10 children (1,024 rows, 1,023 pairs), is 33 kB, so
+they hold at most 0.53 MB.
 
-Numerics. Event masses come from one ``dist.plan_event_masses`` call on
-the plan for all realizations of an evaluation (cell masses binned by
-agreement mask in grid order, one 2^n-term product per realization over
-every node, with the lattice's ``kernel_up_sets``), ``lattice.log_parts``
-takes the logs of the plan's rows' masses as for ``measures``, and one
-``run_passes`` call on those rows, i+ and i- of every realization side
-by side, makes the subtractions that ``invert_array`` makes on the way to
+Numerics. One ``lattice.evaluate`` call on the plan, for all realizations
+of an evaluation, gives the event masses (cell masses binned by agreement
+mask in grid order, one 2^n-term product per realization over every node,
+with the lattice's ``kernel_up_sets``), checks that each is positive, and
+takes the logs of the plan's rows' masses with ``lattice.log_parts`` as for
+``measures``. One ``run_passes`` call on the complex pairs i+ + 1j i- of
+those rows makes the subtractions that ``invert_array`` makes on the way to
 node j, on the same operands in the same order, so the bits are those of
 inverting the whole lattice; no value depends on the other realizations,
 and averages are summed sequentially in grid order. Gradients are
@@ -67,10 +68,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dist import (EventPlan, JointDistribution, Realization, event_plan,
-                   plan_event_masses)
+from .dist import EventPlan, JointDistribution, Realization, event_plan
 from .lattice import (Antichain, BoundaryError, closed_form_plan,
-                      enumerate_lattice, log_parts, node_passes, run_passes)
+                      enumerate_lattice, evaluate, node_passes, run_passes)
 
 _LN2 = math.log(2.0)
 
@@ -136,12 +136,6 @@ def random_interior(shape: Sequence[int], rng: np.random.Generator,
     return SimplexPoint(tuple(shape), raw / raw.sum())
 
 
-@lru_cache(maxsize=8)
-def _grid_points(shape: tuple[int, ...]) -> np.ndarray:
-    """Every grid cell as a row (t, s_1, ..., s_n), in flat index order."""
-    return np.indices(shape).reshape(len(shape), -1).T
-
-
 def _read_only(*arrays: np.ndarray) -> None:
     """Cached plans are shared by every later evaluation: none may write them."""
     for a in arrays:
@@ -154,10 +148,10 @@ def _grid_plan(shape: tuple[int, ...], cells: bytes) -> tuple[EventPlan, np.ndar
     (the bytes of an intp vector) over every cell of the grid, and the
     gather index bins[r, k] = r * 2^n + agree[r, k] of cell k's mask in a
     flat table of one 2^n-row per realization."""
-    points = _grid_points(shape)
+    points = np.indices(shape).reshape(len(shape), -1).T
     plan = event_plan(points, points[np.frombuffer(cells, dtype=np.intp)])
     bins = plan.agree + (np.arange(len(plan.agree)) << (len(shape) - 1))[:, None]
-    _read_only(plan.agree, plan.same_target, bins)
+    _read_only(plan.agree, plan.same_target, plan.at, bins)
     return plan, bins
 
 
@@ -167,24 +161,6 @@ def _node_plan(n: int, j: int) -> tuple[np.ndarray, tuple, np.ndarray]:
     rows, passes, signs = node_passes(enumerate_lattice(n), j)
     _read_only(rows, signs, *(x for pair in passes for x in pair))
     return rows, tuple(passes), signs
-
-
-
-def _event_masses(p: np.ndarray, shape: tuple[int, ...], cells: Sequence[int],
-                  ) -> tuple[EventPlan, np.ndarray, np.ndarray, np.ndarray]:
-    """The plan, bins, sums and P(t) of the kernel at the realizations on
-    ``cells`` over the grid, under the raw coordinates ``p`` (floats);
-    every event must have positive mass."""
-    cells = np.asarray(cells, dtype=np.intp)
-    plan, bins = _grid_plan(shape, cells.tobytes())
-    sums, p_t = plan_event_masses(
-        enumerate_lattice(len(shape) - 1).kernel_up_sets(p), plan, p)
-    bad = (sums <= 0).any(axis=(1, 2))
-    if bad.any():
-        t, *s = _grid_points(shape)[cells[bad.argmax()]].tolist()
-        raise BoundaryError(f"an event at {Realization(t, tuple(s))} has "
-                            "nonpositive mass")
-    return plan, bins, sums, p_t
 
 
 def _check_which(which: str) -> None:
@@ -210,17 +186,16 @@ def _evaluate(p: np.ndarray, shape: tuple[int, ...], cells: np.ndarray, j: int,
     and rows[r, k], its partial with respect to raw coordinate k.
     """
     _check_which(which)
-    rows, passes, signs = (_node_plan(len(shape) - 1, j) if quantity == "pi"
+    lat = enumerate_lattice(len(shape) - 1)
+    rows, passes, signs = (_node_plan(lat.n, j) if quantity == "pi"
                            else (np.array([j]), (), np.ones(1)))
-    plan, bins, sums, p_t = _event_masses(p, shape, cells)
-    sums = sums.take(rows, axis=1)
-    # one rows x 2R buffer: i+ of every realization, then i-
-    parts = np.empty((len(rows), 2, len(p_t)))
-    parts[:, 0], parts[:, 1] = (x.T for x in log_parts(sums, p_t))
-    plus, minus = run_passes(parts.reshape(len(rows), -1), passes)[0].reshape(2, -1)
+    plan, bins = _grid_plan(shape, np.asarray(cells, dtype=np.intp).tobytes())
+    sums, p_t, parts = evaluate(lat.kernel_up_sets(p), plan, p, rows=rows)
+    pi = run_passes(parts, passes)[0]
+    plus, minus = pi.real, pi.imag
 
     p_e, p_te = sums.transpose(2, 1, 0)
-    up = enumerate_lattice(len(shape) - 1).float_up_sets[rows]
+    up = lat.float_up_sets[rows]
     d_plus = (-(signs[:, None] / p_e).T @ up / _LN2).take(bins)
     w_minus = (-(signs[:, None] / p_te).T @ up / _LN2
                + (signs.sum() / (p_t * _LN2))[:, None])
@@ -288,8 +263,8 @@ def grad_atom_via_closed_form(point: SimplexPoint, r: Realization,
                        for w in ("plus", "minus"))
         return GradientRecord("pi_net", alpha, r, point.shape, plus - minus)
     lat = enumerate_lattice(point.n_sources)
-    plan, _, (sums,), (p_t,) = _event_masses(point.p, point.shape,
-                                             [_cell(point.shape, r)])
+    plan, _ = _grid_plan(point.shape, np.intp(_cell(point.shape, r)).tobytes())
+    (sums,), (p_t,), _ = evaluate(lat.kernel_up_sets(point.p), plan, point.p)
     target = plan.same_target[0]
     ind = lat.up_sets[:, plan.agree[0]]
     ind = (ind if which == "plus" else ind & target).astype(float)

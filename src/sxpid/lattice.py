@@ -12,11 +12,13 @@ so equality and hashing are structural and cheap. Each antichain also has
 an up-set over the coalition masks: the coalitions that contain one of its
 members (``up_sets``), kept as one integer key per node from which the
 lattice derives everything else: the nodes are the minimal members of the
-up-closed coalition families, a <= b is inclusion of b's key in a's, the
-union events of ``sxpid.dist.union_event_masses`` read the up-sets (their
-masses become i+ and i- in ``log_parts``), Moebius inversion runs one
-subtraction pass per coalition over them, and the key of a meet is the OR
-of the keys (``subset_meets``). The N x N ``leq_matrix`` is an oracle only.
+up-closed coalition families, a <= b is inclusion of b's key in a's,
+Moebius inversion runs one subtraction pass per coalition over them, and
+the key of a meet is the OR of the keys (``subset_meets``). The N x N
+``leq_matrix`` is an oracle only.
+
+``evaluate`` is the one evaluation of union masses and i+ + 1j i- behind
+decompositions, gradients and checks.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from typing import Callable, Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
-from .dist import Mass
+from .dist import EventPlan, Mass, Realization, plan_event_masses
 
 MAX_SOURCES = 5
 
@@ -396,13 +398,15 @@ def invert_array(lattice: RedundancyLattice, v: np.ndarray) -> np.ndarray:
     """Moebius inversion: pi with sum(pi[b] for b <= a) == v[a] for every a.
 
     ``v`` is indexed like ``lattice.nodes``: a vector, or a matrix whose rows
-    are nodes, each column inverted on its own. The inversion runs the
-    ``moebius_passes`` (``run_passes``), each an elementwise subtraction of
-    whole rows, so a column's result does not depend on the other columns,
-    and applied to the identity matrix it gives the Moebius function,
-    mu(k, j) at [j, k].
+    are nodes, each column inverted on its own; real input is inverted as
+    floats, complex input (``evaluate``'s pairs) stays complex. The inversion
+    runs the ``moebius_passes`` (``run_passes``), each an elementwise
+    subtraction of whole rows, so a column's result (and each part of a
+    complex one) does not depend on the other columns, and applied to the
+    identity matrix it gives the Moebius function, mu(k, j) at [j, k].
     """
-    return run_passes(np.array(v, dtype=float), lattice.moebius_passes)
+    dtype = complex if np.iscomplexobj(v) else float
+    return run_passes(np.array(v, dtype=dtype), lattice.moebius_passes)
 
 
 def node_passes(lattice: RedundancyLattice, j: int,
@@ -489,7 +493,7 @@ def _as_masses(x: np.ndarray, den: int | None) -> np.ndarray:
 def log_parts(sums: np.ndarray, p_t: np.ndarray, den: int | None = None,
               ) -> tuple[np.ndarray, np.ndarray]:
     """i+ = -log2 P(E_u) and i- = log2 P(t) - log2 P(t & E_u), R x U each,
-    from the sums and P(t) of ``dist.union_event_masses`` (numerators over
+    from the sums and P(t) of ``dist.plan_event_masses`` (numerators over
     ``den`` if given). Float node masses take ``np.log2``, the rest ``_log2``
     (exact ones per distinct reduced Fraction); a nonpositive mass raises, NaN is NaN."""
     if den is None and (sums <= 0).any():
@@ -502,6 +506,31 @@ def log_parts(sums: np.ndarray, p_t: np.ndarray, den: int | None = None,
         logs = logs[where].reshape(sums.shape)
     log_t = np.array([_log2(x) for x in _as_masses(p_t, den).tolist()])
     return -logs[..., 0], log_t[:, None] - logs[..., 1]
+
+
+def evaluate(up_sets: np.ndarray, plan: EventPlan, masses: np.ndarray,
+             den: int | None = None, rows: np.ndarray | None = None,
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One ``dist.plan_event_masses`` call at a plan's R realizations, whose
+    unions must all have positive mass (else a ``BoundaryError`` names the
+    first realization with one that has not), and ``log_parts`` of the
+    unions ``rows`` (all by default). Returns their sums (R x U x 2), P(t)
+    (R) and parts[u, r] = i+ + 1j i- (U x R), which ``run_passes`` inverts
+    in one call: numpy subtracts real and imaginary parts separately, so
+    each part gets the bits it gets alone.
+    """
+    sums, p_t = plan_event_masses(up_sets, plan, masses)
+    bad = (sums <= 0).any(axis=(1, 2))
+    if bad.any():
+        t, *s = plan.at[bad.argmax()].tolist()
+        raise BoundaryError(f"an event at {Realization(t, tuple(s))} has "
+                            "nonpositive mass")
+    if rows is not None:
+        sums = sums.take(rows, axis=1)
+    plus, minus = log_parts(sums, p_t, den)
+    parts = np.empty(plus.shape[::-1], dtype=complex)
+    parts.real, parts.imag = plus.T, minus.T
+    return sums, p_t, parts
 
 
 def closed_form_plan(lattice: RedundancyLattice, j: int, p_j: Mass,

@@ -10,17 +10,18 @@ E_alpha and of its intersection with the target event:
     shared information    i  = i+ - i-
 
 Both probabilities come from the event-mass kernel
-``dist.union_event_masses``, one call per table of unions at one
+``dist.plan_event_masses``, one call per table of unions at one
 realization, and one in all for each check that scans the support; so do
 the self-shared information (one row, which ignores the target) and the
 statement channel (one call for all its statements). Exact masses are
 summed as integer numerators; float masses are binned by agreement mask in
 support order, and each union sums its bins in one product, which is not
-correctly rounded. ``lattice.log_parts`` takes the logs, as for ``grad``.
-The per-mass logs of the derived forms remain as independent checks.
+correctly rounded. ``lattice.evaluate``, as for ``grad``, makes that call
+and takes the logs, giving i+ and i- as one complex pair i+ + 1j i-. The
+per-mass logs of the derived forms remain as independent checks.
 
 The per-node increments pi+/pi-/pi are recovered by Moebius inversion of
-i+/i- over the lattice (``lattice.invert_array``, one vector per part);
+the pair over the lattice (``lattice.invert_array``, one call for both);
 both are nonnegative, pi = pi+ - pi- may not be. Averages weight the
 pointwise values by the realization masses over the support; each is the
 correctly rounded sum that ``math.fsum`` gives, bit for bit, computed for
@@ -36,8 +37,8 @@ float), pointwise quantities are logs of rationals; for small lattices
 ``MAX_EXACT_DENOMINATOR`` the exact log-arguments are carried along so
 reports can print them (paper-style tables are exact logs of small
 fractions). Their atoms are products of the log-arguments raised to the
-Moebius function, which ``invert_array`` gives when applied to the
-identity matrix.
+Moebius function, which ``lattice.node_passes`` gives as each node's
+signs over its Moebius support.
 """
 
 from __future__ import annotations
@@ -50,11 +51,13 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .dist import (Alphabet, DistributionError, JointDistribution, Mass,
-                   Realization, _sum_masses, marginal, regroup, union_event_masses)
+from .dist import (Alphabet, DistributionError, EventPlan, JointDistribution,
+                   Mass, Realization, _sum_masses, event_plan, marginal,
+                   plan_event_masses, regroup)
 from .lattice import (Antichain, LatticeError, RedundancyLattice, _as_masses,
                       _coalition_masks, _log2, closed_form_atom_at,
-                      coalition_up_sets, enumerate_lattice, invert_array, log_parts)
+                      coalition_up_sets, enumerate_lattice, evaluate,
+                      invert_array, log_parts, node_passes)
 
 #: Exact rational log-arguments are carried only for lattices this small
 #: (beyond n=3 the fractions grow without bound through the recursion), and
@@ -64,23 +67,23 @@ EXACT_RATIO_NODE_LIMIT = 18
 MAX_EXACT_DENOMINATOR = 2**64
 
 
-def _union_masses(d: JointDistribution, rs: Sequence[Realization],
-                  up_sets: np.ndarray) -> tuple[np.ndarray, np.ndarray, int | None]:
-    """The kernel's sums (R x U x 2) and P(t) (R) at the support points
-    ``rs``, in one call, and the denominator of exact masses (or None)."""
+def _plan(d: JointDistribution, rs: Sequence[Realization],
+          ) -> tuple[EventPlan, np.ndarray, int | None]:
+    """``evaluate``'s arguments after the up-sets at the support points
+    ``rs``: the kernel's plan over d's support, d's masses and their
+    denominator (None for float masses)."""
     for r in rs:
         if d.mass(r) == 0:
             raise DistributionError(f"realization {r} not in support")
     masses, den = d.mass_array
-    _, sums, p_t = union_event_masses(up_sets, d.support_array, masses,
-                                      np.array([(r.t, *r.s) for r in rs]))
-    return sums, p_t, den
+    return event_plan(d.support_array, np.array([(r.t, *r.s) for r in rs])), masses, den
 
 
 def _masses_at(d: JointDistribution, r: Realization, up_sets: np.ndarray,
                ) -> tuple[list[Mass], list[Mass], Mass]:
     """P(E_u) and P(t & E_u) for every up-set row u at r, and P(t)."""
-    sums, p_t, den = _union_masses(d, [r], up_sets)
+    plan, masses, den = _plan(d, [r])
+    sums, p_t = plan_event_masses(up_sets, plan, masses)
     return *_as_masses(sums[0].T, den).tolist(), *_as_masses(p_t, den).tolist()
 
 
@@ -110,18 +113,18 @@ def _lattice_of(d: JointDistribution,
 
 def i_sx_plus(d: JointDistribution, r: Realization, alpha: Antichain) -> float:
     """Informative shared information: -log2 of the union-event probability."""
-    return log_parts(*_union_masses(d, [r], _check_alpha(d, alpha)))[0].item()
+    return evaluate(_check_alpha(d, alpha), *_plan(d, [r]))[2].real.item()
 
 
 def i_sx_minus(d: JointDistribution, r: Realization, alpha: Antichain) -> float:
     """Misinformative shared information: log2 P(t) / P(t & union event)."""
-    return log_parts(*_union_masses(d, [r], _check_alpha(d, alpha)))[1].item()
+    return evaluate(_check_alpha(d, alpha), *_plan(d, [r]))[2].imag.item()
 
 
 def i_sx(d: JointDistribution, r: Realization, alpha: Antichain) -> float:
     """Signed shared information, the difference of the two parts."""
-    plus, minus = log_parts(*_union_masses(d, [r], _check_alpha(d, alpha)))
-    return (plus - minus).item()
+    part = evaluate(_check_alpha(d, alpha), *_plan(d, [r]))[2].item()
+    return part.real - part.imag
 
 
 def i_sx_conditional_form(d: JointDistribution, r: Realization,
@@ -161,8 +164,8 @@ def i_sx_parts_from_collections(d: JointDistribution, r: Realization,
         masks = _coalition_masks(d.n_sources, collections)
     except LatticeError as exc:
         raise DistributionError(str(exc)) from None
-    parts = log_parts(*_union_masses(d, [r], coalition_up_sets(d.n_sources, [masks])))
-    return parts[0].item(), parts[1].item()
+    part = evaluate(coalition_up_sets(d.n_sources, [masks]), *_plan(d, [r]))[2].item()
+    return part.real, part.imag
 
 
 def local_mi(d: JointDistribution, r: Realization,
@@ -193,7 +196,8 @@ def self_shared(d: JointDistribution, s: Sequence[int], alpha: Antichain) -> flo
         if not 0 <= si < len(alph):
             raise DistributionError(f"source {i + 1} index {si} out of range in {tuple(s)}")
     masses, den = d.mass_array
-    _, sums, _ = union_event_masses(up_set, d.support_array, masses, np.array([(0, *s)]))
+    sums, _ = plan_event_masses(up_set, event_plan(d.support_array, np.array([(0, *s)])),
+                                masses)
     return -_log2(_as_masses(sums[:, 0, 0], den).item())
 
 
@@ -276,11 +280,12 @@ class AverageDecomposition(_Decomposition):
 
 
 def _exact_atoms(lattice: RedundancyLattice,
-                 ratios: list[Fraction]) -> tuple[Fraction, ...]:
-    """Multiplicative Moebius inversion: prod of ratios[k] ** mu(k, j)."""
-    mu = np.rint(invert_array(lattice, np.eye(len(ratios)))).astype(int)
-    return tuple(math.prod(ratios[k] ** int(e) for k, e in enumerate(row) if e)
-                 for row in mu)
+                 *ratios: list[Fraction]) -> list[tuple[Fraction, ...]]:
+    """Multiplicative Moebius inversion of each list of ratios: atom j is
+    the product of ratios[u] ** mu(u, j) over j's ``node_passes`` rows."""
+    supports = [node_passes(lattice, j)[::2] for j in range(len(lattice))]
+    return [tuple(math.prod(r[u] ** int(e) for u, e in zip(*support))
+                  for support in supports) for r in ratios]
 
 
 def pointwise_decomposition(d: JointDistribution, r: Realization,
@@ -288,12 +293,11 @@ def pointwise_decomposition(d: JointDistribution, r: Realization,
                             ) -> PointwiseDecomposition:
     """Evaluate i+/i- at every node and Moebius-invert both lattices."""
     lat = _lattice_of(d, lattice)
-    sums, p_t, den = _union_masses(d, [r], lat.kernel_up_sets(d.mass_array[0]))
-    (ip,), (im,) = log_parts(sums, p_t, den)
-    # one vector each: indexing a vector is several times faster than
-    # indexing the rows of an N x 2 matrix, and the bits are the same
-    pip = invert_array(lat, ip)
-    pim = invert_array(lat, im)
+    plan, masses, den = _plan(d, [r])
+    sums, p_t, parts = evaluate(lat.kernel_up_sets(masses), plan, masses, den)
+    ip, im = parts.real[:, 0], parts.imag[:, 0]
+    pi = invert_array(lat, parts[:, 0])
+    pip, pim = pi.real, pi.imag
 
     exact = {}
     if (d.exact and len(lat.nodes) <= EXACT_RATIO_NODE_LIMIT
@@ -302,11 +306,12 @@ def pointwise_decomposition(d: JointDistribution, r: Realization,
         (p_t,) = _as_masses(p_t, den).tolist()
         ri_plus = [1 / p for p in p_plus]
         ri_minus = [p_t / p for p in p_minus]
+        exact_plus, exact_minus = _exact_atoms(lat, ri_plus, ri_minus)
         exact = {
             "exact_i_plus": tuple(ri_plus),
             "exact_i_minus": tuple(ri_minus),
-            "exact_pi_plus": _exact_atoms(lat, ri_plus),
-            "exact_pi_minus": _exact_atoms(lat, ri_minus),
+            "exact_pi_plus": exact_plus,
+            "exact_pi_minus": exact_minus,
         }
 
     return PointwiseDecomposition(
@@ -418,7 +423,7 @@ def node_event_probabilities(d: JointDistribution, r: Realization,
                              ) -> tuple[list[Mass], list[Mass], Mass]:
     """(P(E_node), P(t & E_node)) per node in lattice order, plus P(t).
 
-    One call of the event-mass kernel ``dist.union_event_masses`` on the
+    One call of the event-mass kernel ``dist.plan_event_masses`` on the
     lattice's up-sets: exact for rational masses, a matrix product for
     float masses.
     """
@@ -436,7 +441,8 @@ def form_equivalence_max_dev(d: JointDistribution,
     realization and node.
     """
     up = _lattice_of(d, lattice).up_sets
-    sums, p_t, den = _union_masses(d, d.support, np.concatenate([up, ~up]))
+    plan, masses, den = _plan(d, d.support)
+    sums, p_t = plan_event_masses(np.concatenate([up, ~up]), plan, masses)
     plus, minus = log_parts(sums[:, :len(up)], p_t, den)
     worst, total = 0.0, d.total_mass()
     masses = (_as_masses(x, den).tolist() for x in (sums, p_t))
@@ -473,7 +479,8 @@ def child_meet_mass_identity_max_dev(d: JointDistribution,
     """
     lat = _lattice_of(d, lattice)
     j, g, mb, mbg = np.array(_child_meet_plan(lat), dtype=np.intp).reshape(-1, 4).T
-    sums, _, den = _union_masses(d, d.support, lat.kernel_up_sets(d.mass_array[0]))
+    plan, masses, den = _plan(d, d.support)
+    sums, _ = plan_event_masses(lat.kernel_up_sets(masses), plan, masses)
     worst = max(np.abs(s[mbg] - (s[mb] + s[g] - s[j])).max(initial=0) for s in sums)
     return float(worst) / (den or 1)
 
@@ -664,14 +671,16 @@ def axiom_suite(d: JointDistribution,
     reordered = [(j, a, variant) for j, a in enumerate(nodes) if len(a.masks) > 1
                  for variant in (tuple(reversed(a.masks)), a.masks[1:] + a.masks[:1])]
     extended = [(j, a, extra) for j, a in enumerate(nodes) for extra in range(1, 1 << n)]
-    sums, p_t, den = _union_masses(d, d.support, np.concatenate([
+    plan, masses, den = _plan(d, d.support)
+    sums, p_t, parts = evaluate(np.concatenate([
         lat.up_sets, coalition_up_sets(n, [v for *_, v in reordered]
-                                       + [a.masks + (e,) for _, a, e in extended])]))
+                                       + [a.masks + (e,) for _, a, e in extended])]),
+        plan, masses, den)
     mis = [_log2(p_ts) - _log2(p_s) - _log2(p_t) for (p_s, p_ts), p_t in zip(
         _as_masses(sums[:, top], den).tolist(), _as_masses(p_t, den).tolist())]
 
     # per realization: [i+, i-] of each node, then of each variant
-    tables = np.stack(log_parts(sums, p_t, den), 2).tolist()
+    tables = np.stack([parts.real.T, parts.imag.T], 2).tolist()
     for r, table, mi in zip(d.support, tables, mis):
         # (a) permutation invariance
         for (j, a, _), got in zip(reordered, table[len(nodes):]):
@@ -741,10 +750,12 @@ def duplicate_invariance_check(d: JointDistribution,
     swaps = coalition_up_sets(n, [_coalition_masks(
         n, [[i if x == j else x for x in coll] for coll in a.collections])
         for a in lat.nodes])
-    parts = log_parts(*_union_masses(d, d.support, np.concatenate([lat.up_sets, swaps])))
+    parts = evaluate(np.concatenate([lat.up_sets, swaps]), *_plan(d, d.support))[2]
     if expected_pi:
-        pi = np.subtract(*(invert_array(lat, x[:, :len(swaps)].T) for x in parts))
-    for k, (r, row) in enumerate(zip(d.support, np.stack(parts, 2).tolist())):
+        pi = invert_array(lat, parts[:len(swaps)])
+        pi = pi.real - pi.imag
+    tables = np.stack([parts.real.T, parts.imag.T], 2).tolist()
+    for k, (r, row) in enumerate(zip(d.support, tables)):
         for a, want, got in zip(lat.nodes, row, row[len(swaps):]):
             ok = abs(got[0] - want[0]) <= 1e-9 and abs(got[1] - want[1]) <= 1e-9
             report.record(ok, "twin-swap", r,
@@ -803,8 +814,8 @@ def v_channel_xor() -> VChannelReport:
     # kernel call at every row (t, a, b) gives each P(V), P(t & V) and P(t)
     grid = [(t, a, b) for t in range(2) for a in range(2) for b in range(2)]
     masses, den = d.mass_array
-    _, sums, p_t = union_event_masses(coalition_up_sets(2, [[0b01, 0b10]]),
-                                      d.support_array, masses, np.array(grid))
+    sums, p_t = plan_event_masses(coalition_up_sets(2, [[0b01, 0b10]]),
+                                  event_plan(d.support_array, np.array(grid)), masses)
     # (t, a, b) -> (P(t | V), P(t))
     at = {row: (p_tv / p_v, p) for row, (p_v, p_tv), p in zip(
         grid, _as_masses(sums[:, 0], den).tolist(), _as_masses(p_t, den).tolist())}

@@ -1,8 +1,12 @@
 import copy
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -112,6 +116,22 @@ def test_node_filter_leaves_the_report_unchanged():
     assert kept["nodes"] == ["{1}{2}"] and list(kept["averages"]) == ["{1}{2}"]
     assert [list(r["nodes"]) for r in kept["pointwise"]] == [["{1}{2}"]] * 4
     assert [list(r) for r in kept["pointwise"]] == [list(r) for r in doc["pointwise"]]
+
+
+def test_closed_stdout_exits_1_without_a_message():
+    # 0.7 MB of JSON, far more than a pipe buffers: the writes after the
+    # reader closes its end fail
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH")]))
+    proc = subprocess.Popen([sys.executable, "-m", "sxpid.cli", "compute", "parity:4",
+                             "--format", "json", "--pointwise"], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.read(100).startswith(b"{")
+    proc.stdout.close()
+    assert proc.wait(timeout=120) == cli.EXIT_BROKEN_PIPE == 1
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
 
 
 def test_validation_exit_code(tmp_path, capsys):

@@ -13,9 +13,8 @@ from sxpid.builtins import builtin_distribution
 from sxpid.dist import (Alphabet, CylinderEvent, DistributionError,
                         DistributionFormatError, JointDistribution, Realization,
                         dump_csv, dump_json, event_plan, event_probability,
-                        load_distribution, marginal, plan_event_masses,
-                        union_event_masses)
-from sxpid.lattice import enumerate_lattice
+                        load_distribution, marginal, plan_event_masses)
+from sxpid.lattice import enumerate_lattice, evaluate
 
 XOR_CSV = "t,s1,s2,p\n0,0,0,0.25\n1,0,1,0.25\n1,1,0,0.25\n0,1,1,0.25\n"
 
@@ -123,6 +122,13 @@ def json_entries(*entries) -> str:
     (json_entries({"t": "0", "s": ["0"], "p": "0.5"}), r"support\[2\]"),
     (json_entries(5), r"support\[2\]"),
     (xor_json(source_alphabets=5), "source_alphabets"),
+    (xor_json(source_alphabets={"s1": {"name": "s1", "symbols": ["0", "1"]}}),
+     "source_alphabets: expected a list"),
+    (xor_json(target_alphabet={"name": "t", "symbols": "01"}),
+     "target_alphabet: symbols must be a list"),
+    (xor_json(source_alphabets=[{"name": "s1", "symbols": {"0": 0, "1": 1}},
+                                {"name": "s2", "symbols": ["0", "1"]}]),
+     r"source_alphabets\[0\]: symbols must be a list"),
     ("[]", "target_alphabet"),
 ])
 def test_json_wrong_shapes_name_their_location(text, where):
@@ -391,28 +397,33 @@ def test_mass_where_predicate():
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_event_masses_do_not_depend_on_the_batch(n):
-    # every realization's masses are one product of its own 2^n bins, so
-    # running the support rows in chunks of 1 or 7 gives the same bits
+    # every realization's masses are one product of its own 2^n bins, its
+    # logs are elementwise, so running the support rows in chunks of 1, 7
+    # or all of them gives the same bits, masses and evaluated parts alike
     rng = np.random.default_rng(40 + n)
     grid = np.indices((2,) + (3,) * n).reshape(n + 1, -1).T
     points = grid[rng.choice(len(grid), size=16, replace=False)]
     ints = rng.integers(1, 10**6, size=len(points))
     up_sets = enumerate_lattice(n).up_sets
-    for masses in (ints / ints.sum(), ints,
-                   np.array([int(m) * 3**40 for m in ints], dtype=object)):
-        whole = union_event_masses(up_sets, points, masses, points)
-        assert whole[1].dtype == masses.dtype
-        for size in (1, 7):
-            chunks = [union_event_masses(up_sets, points, masses, points[i:i + size])
-                      for i in range(0, len(points), size)]
-            for got, want in zip(zip(*chunks), whole):
-                assert np.array_equal(np.concatenate(got), want)
+    for masses, den in ((ints / ints.sum(), None), (ints, int(ints.sum())),
+                        (np.array([int(m) * 3**40 for m in ints], dtype=object),
+                         int(ints.sum()) * 3**40)):
+        whole = evaluate(up_sets, event_plan(points, points), masses, den)
+        assert whole[0].dtype == masses.dtype and whole[2].dtype == complex
+        for size in (1, 7, len(points)):
+            sums, p_t, parts = zip(*(
+                evaluate(up_sets, event_plan(points, points[i:i + size]), masses, den)
+                for i in range(0, len(points), size)))
+            assert np.array_equal(np.concatenate(sums), whole[0])
+            assert np.array_equal(np.concatenate(p_t), whole[1])
+            assert np.concatenate(parts, axis=1).tobytes() == whole[2].tobytes()
 
 
 @pytest.mark.parametrize("n", [2, 4, 5])
 def test_plan_and_mass_steps_give_the_kernel_bits(n):
-    # the kernel is its plan step then its mass step; the lattice's float
-    # copy of the up-sets, read uncast, gives the bits of the bool matrix
+    # the kernel's plan step then its mass step, and the evaluation's sums;
+    # the lattice's float copy of the up-sets, read uncast, gives the bits
+    # of the bool matrix
     rng = np.random.default_rng(50 + n)
     grid = np.indices((3,) + (2,) * n).reshape(n + 1, -1).T
     points = grid[rng.permutation(len(grid))]
@@ -428,8 +439,7 @@ def test_plan_and_mass_steps_give_the_kernel_bits(n):
     want = np.matmul(lat.up_sets.astype(float), hist)
     for up_sets in (lat.up_sets, lat.float_up_sets):
         assert plan_event_masses(up_sets, plan, masses)[0].tobytes() == want.tobytes()
-    agree, sums, _ = union_event_masses(lat.up_sets, points, masses, at)
-    assert np.array_equal(agree, plan.agree) and sums.tobytes() == want.tobytes()
+    assert evaluate(lat.up_sets, plan, masses)[0].tobytes() == want.tobytes()
     exact = np.array([int(m * 2**60) * 3**40 for m in masses], dtype=object)
     assert lat.kernel_up_sets(masses) is lat.float_up_sets
     for m in (exact, np.arange(len(masses), dtype=np.int64)):

@@ -9,9 +9,8 @@ import numpy as np
 import pytest
 
 from sxpid.builtins import xor_distribution
-from sxpid.dist import (Realization, event_plan, plan_event_masses,
-                        union_event_masses)
-from sxpid.lattice import (Antichain, BoundaryError, enumerate_lattice,
+from sxpid.dist import Realization, event_plan, plan_event_masses
+from sxpid.lattice import (Antichain, BoundaryError, enumerate_lattice, evaluate,
                           invert_array)
 from sxpid import grad as G
 
@@ -158,8 +157,9 @@ def _reference(p, shape, k):
     lat = enumerate_lattice(len(shape) - 1)
     points = np.indices(shape).reshape(len(shape), -1).T
     r = Realization(t=int(points[k, 0]), s=tuple(points[k, 1:].tolist()))
-    agree, (m,), (p_t,) = union_event_masses(lat.up_sets, points, p, points[[k]])
-    inside = lat.up_sets[:, agree[0]]
+    plan = event_plan(points, points[[k]])
+    (m,), (p_t,) = plan_event_masses(lat.up_sets, plan, p)
+    inside = lat.up_sets[:, plan.agree[0]]
     p_t = float(p_t)
     target = points[:, 0] == r.t
     i = np.stack([-np.log2(m[:, 0]), math.log2(p_t) - np.log2(m[:, 1])], axis=1)
@@ -367,19 +367,20 @@ def test_unknown_which_rejected_by_every_entry_point():
 
 
 def test_one_kernel_call_per_evaluation(monkeypatch):
-    """One mass step of the kernel per evaluation; its plan step runs once
-    per grid and cell set, on the first evaluation."""
+    """One ``evaluate`` call (the kernel's mass step, its logs) per
+    evaluation; its plan step runs once per grid and cell set, on the first
+    evaluation."""
     calls, plans = [], []
 
-    def counted(up_sets, plan, masses):
+    def counted(up_sets, plan, masses, den=None, rows=None):
         calls.append(len(plan.agree))
-        return plan_event_masses(up_sets, plan, masses)
+        return evaluate(up_sets, plan, masses, den, rows)
 
     def planned(points, at):
         plans.append(len(at))
         return event_plan(points, at)
 
-    monkeypatch.setattr(G, "plan_event_masses", counted)
+    monkeypatch.setattr(G, "evaluate", counted)
     monkeypatch.setattr(G, "event_plan", planned)
     G._grid_plan.cache_clear()
     pt = rand_point(3, np.random.default_rng(15))
@@ -471,7 +472,7 @@ def test_plan_keys_tell_cells_dtype_and_grid_shape_apart():
 
 
 def test_plan_caches_are_bounded():
-    for cache in (G._grid_points, G._grid_plan, G._node_plan):
+    for cache in (G._grid_plan, G._node_plan):
         assert cache.cache_info().maxsize is not None
     # a node plan holds one row, one sign and one pass pair per child
     # subset, so the node with the most children (10 at n = 5) has the
@@ -502,7 +503,7 @@ def test_importing_builds_no_lattice_and_no_plan():
     code = ("import sxpid, sxpid.grad, sxpid.cli\n"
             "from sxpid import grad, lattice\n"
             "assert not lattice._LATTICES, lattice._LATTICES\n"
-            "for cache in (grad._grid_points, grad._grid_plan, grad._node_plan):\n"
+            "for cache in (grad._grid_plan, grad._node_plan):\n"
             "    assert cache.cache_info().currsize == 0, cache\n")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -3,13 +3,15 @@ the mechanism-fixed optimizer names the coordinate, and every entry point
 checks the antichain and the pmf length against the grid. Raw vectors of
 any real dtype are read as floats."""
 
+import re
+
 import numpy as np
 import pytest
 
 from sxpid import grad as G
 from sxpid.builtins import xor_distribution
 from sxpid.dist import Realization
-from sxpid.lattice import enumerate_lattice
+from sxpid.lattice import BoundaryError, enumerate_lattice
 
 
 def _run(mechanism, q0):
@@ -97,3 +99,14 @@ def test_raw_vectors_of_any_real_dtype_read_as_floats(dtype):
     assert G.average_atom_value(raw.tolist(), shape, top) == want
     want = G.pointwise_value(raw.astype(float), shape, _R, top, "pi", "net")
     assert G.pointwise_value(raw, shape, _R, top, "pi", "net") == want
+
+
+@pytest.mark.parametrize("k, where", [(0, "t=0, s=(0, 0)"), (5, "t=0, s=(0, 1)")])
+def test_negative_coordinate_names_the_first_realization_it_breaks(k, where):
+    # the evaluation checks every event it sums at every realization, in
+    # grid order, before it takes a log
+    p = np.full(8, 0.125)
+    p[k] = -0.2
+    text = f"an event at Realization({where}) has nonpositive mass"
+    with pytest.raises(BoundaryError, match=f"^{re.escape(text)}$"):
+        G.average_atom_value(p, (2, 2, 2), enumerate_lattice(2).top)

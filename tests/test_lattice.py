@@ -394,6 +394,18 @@ def test_invert_array_matrix_is_columnwise_bit_for_bit(n):
         assert got.shape == V.shape
         for c in range(V.shape[1]):
             assert got[:, c].tobytes() == invert_array(lat, V[:, c]).tobytes()
+    # a complex pair (evaluate's i+ + 1j i-) stays complex, and each part
+    # has the bits of its own real inversion, special lanes included
+    for c, x in enumerate([np.nan, np.inf, -np.inf, -0.0]):
+        V[rng.choice(len(lat), 1 + len(lat) // 3, replace=False), c] = x
+    V[:, 5] = -0.0
+    pairs = np.empty((len(lat), 6), dtype=complex)
+    pairs.real, pairs.imag = V[:, :6], V[:, 1:]
+    with np.errstate(invalid="ignore"):  # inf - inf
+        got = invert_array(lat, pairs)
+        assert got.dtype == complex
+        assert got.real.tobytes() == invert_array(lat, V[:, :6]).tobytes()
+        assert got.imag.tobytes() == invert_array(lat, V[:, 1:]).tobytes()
 
 
 def _check_node_passes(lat, j, vectors):

@@ -14,10 +14,11 @@ from sxpid.builtins import (builtin_distribution, parity_distribution,
                             xorduplicate_distribution)
 from sxpid.dist import (Alphabet, CylinderEvent, DistributionError,
                         JointDistribution, Realization, event_probability,
-                        union_event_masses)
+                        plan_event_masses)
 from sxpid.lattice import (Antichain, BoundaryError, _log2, enumerate_lattice,
                            invert_array, leq)
 from sxpid import grad as G
+from sxpid import lattice as L
 from sxpid import measures as M
 
 L2 = math.log2
@@ -248,14 +249,22 @@ def test_measures_and_grad_agree_in_bits(n, seed):
             assert got.tolist() == want[:, row, j].tolist(), (j, which)
 
 
-def test_support_checks_make_one_kernel_call(monkeypatch):
+def count_kernel_calls(monkeypatch) -> list[int]:
+    """The realization count of each call of the kernel's mass step, which
+    ``measures`` makes itself and through ``lattice.evaluate``."""
     calls = []
 
-    def counted(*args):
-        calls.append(len(args[3]))
-        return union_event_masses(*args)
+    def counted(up_sets, plan, masses):
+        calls.append(len(plan.agree))
+        return plan_event_masses(up_sets, plan, masses)
 
-    monkeypatch.setattr(M, "union_event_masses", counted)
+    for module in (M, L):
+        monkeypatch.setattr(module, "plan_event_masses", counted)
+    return calls
+
+
+def test_support_checks_make_one_kernel_call(monkeypatch):
+    calls = count_kernel_calls(monkeypatch)
     rng = np.random.default_rng(19)
     for d in (random_grid_distribution(3, rng), xor_distribution()):
         assert d.exact == (d.n_sources == 2)
@@ -825,12 +834,10 @@ def test_v_channel_table():
 
 def test_v_channel_shared_rows_are_the_bottom_node(monkeypatch):
     # "S1 = a or S2 = b" on the shared row is the union event of {1}{2} at r
-    calls = []
-    monkeypatch.setattr(M, "union_event_masses",
-                        lambda *args: calls.append(1) or union_event_masses(*args))
+    calls = count_kernel_calls(monkeypatch)
     d = xor_distribution()
     shared = [row for row in M.v_channel_xor().rows if row.carries_shared]
-    assert calls == [1]
+    assert calls == [8]  # every (t, a, b) in one call
     assert [row.realization for row in shared] == list(d.support)
     for row in shared:
         assert row.statement == row.realization.s
