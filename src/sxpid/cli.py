@@ -400,18 +400,22 @@ def cmd_bench(args) -> int:
     rng = np.random.default_rng(args.seed)
     dists = [_bench_distribution(args.n, rng) for _ in range(args.trials)]
     digests = []
-    times, average_times, report_times = [], [], []
+    times, average_times, report_times, build_times, render_times = [], [], [], [], []
     for d in dists:
         t0 = time.perf_counter()
         decs = measures.decompose_support(d, lat)
         t1 = time.perf_counter()
         avg = measures.average_decomposition(d, lat, decompositions=decs)
         t2 = time.perf_counter()
-        report.render_json(report.decomposition_report(d, avg))
+        doc = report.decomposition_report(d, avg)
         t3 = time.perf_counter()
+        report.render_json(doc)
+        t4 = time.perf_counter()
         times.append(t1 - t0)
         average_times.append(t2 - t1)
-        report_times.append(t3 - t2)
+        report_times.append(t4 - t2)
+        build_times.append(t3 - t2)
+        render_times.append(t4 - t3)
         payload = ";".join(f"{v:.12f}" for dec in decs for v in dec.pi)
         digests.append(hashlib.sha256(payload.encode()).hexdigest()[:16])
 
@@ -420,7 +424,9 @@ def cmd_bench(args) -> int:
     timing = {"lattice_build_s": round(build_s, 6),
               "per_trial_s": [round(t, 6) for t in times],
               "average_s": [round(t, 6) for t in average_times],
-              "report_s": [round(t, 6) for t in report_times]}
+              "report_s": [round(t, 6) for t in report_times],
+              "report_build_s": [round(t, 6) for t in build_times],
+              "render_s": [round(t, 6) for t in render_times]}
     print(json.dumps({"results": results, "timing": timing}, indent=2))
     return EXIT_OK
 

@@ -15,7 +15,7 @@ lattice derives everything else: the nodes are the minimal members of the
 up-closed coalition families, a <= b is inclusion of b's key in a's,
 Moebius inversion runs one subtraction pass per coalition over them, and
 the key of a meet is the OR of the keys (``subset_meets``). The N x N
-``leq_matrix`` is an oracle only.
+``leq_matrix`` is an oracle only, built on each read and not kept.
 
 ``evaluate`` is the one evaluation of union masses and i+ + 1j i- behind
 decompositions, gradients and checks.
@@ -276,9 +276,10 @@ class RedundancyLattice:
         rows, such as concatenations, stay boolean."""
         return self.float_up_sets if masses.dtype == np.float64 else self.up_sets
 
-    @cached_property
+    @property
     def leq_matrix(self) -> np.ndarray:
-        """Boolean matrix L with L[i, j] = (nodes[i] <= nodes[j]); an oracle."""
+        """Boolean matrix L with L[i, j] = (nodes[i] <= nodes[j]); an oracle,
+        built on each read and not kept (57 MB at n = 5)."""
         # i <= j iff the up-set of j is a subset of the up-set of i; rows in
         # blocks, so no N x N integer temporary is held (460 MB at n = 5)
         keys = self._up_keys

@@ -26,10 +26,10 @@ both are nonnegative, pi = pi+ - pi- may not be. Averages weight the
 pointwise values by the realization masses over the support; each is the
 correctly rounded sum that ``math.fsum`` gives, bit for bit, computed for
 all nodes and fields at once by ``fsum_columns`` (a TwoSum cascade with a
-rounding certificate; lanes it cannot certify go to ``math.fsum``). A
-decomposition keeps its six fields as one read-only 6 x N float block;
-the tuple accessors are built on first read. All logarithms are base 2;
-every quantity is in bits.
+rounding certificate over the lanes that are not +0.0 alone; lanes it
+cannot certify go to ``math.fsum``). A decomposition keeps its six fields
+as one read-only 6 x N float block; the tuple accessors are built on
+first read. All logarithms are base 2; every quantity is in bits.
 
 When the distribution is exact (``JointDistribution.exact``: no mass is a
 float), pointwise quantities are logs of rationals; for small lattices
@@ -358,25 +358,37 @@ _MANTISSA = (1 << 52) - 1
 def fsum_columns(terms: np.ndarray) -> np.ndarray:
     """``math.fsum`` down axis 0 of ``terms`` (R x ...), bit for bit.
 
-    One TwoSum cascade down the R rows gives each lane's float sum s and
-    the exact error of every addition (Ogita, Rump & Oishi 2005). The
-    errors are summed in floats to c, and y = fl(s + c) with its exact
-    error z, so the exact sum is y + z + (errors - c). That last term is at
-    most (R - 2) u times the sum of |errors| (u = 2^-53); the bound used
-    is twice that. When |z| + bound is below half the spacing of floats
-    next to y (the spacing below when |y| is a power of two), the exact
-    sum lies strictly inside y's rounding interval and y is ``fsum``'s
-    result. Lanes whose terms sum in magnitude to 2^1000 or more (which
-    includes any lane with a term that is not finite) are not certified:
-    below that no partial sum, here or in ``fsum``, can overflow. Nor is
-    an exact tie, or a zero or subnormal y (half its spacing rounds to 0).
-    Those lanes are summed by ``math.fsum``, which also raises what it
-    raises, except the lanes of +0.0 alone, which take the zero ``fsum``
-    returns for them. Besides lane-sized vectors, the temporaries are
-    column subsets of ``terms``, no larger than it.
+    Lanes of +0.0 alone (all bits clear) are one and the same input; they
+    take the zero ``fsum`` returns for it, and the rest of the work runs on
+    the other lanes only. One TwoSum cascade down the R rows gives each
+    lane's float sum s and the exact error of every addition (Ogita, Rump &
+    Oishi 2005). The errors are summed in floats to c, and y = fl(s + c)
+    with its exact error z, so the exact sum is y + z + (errors - c). That
+    last term is at most (R - 2) u times the sum of |errors| (u = 2^-53);
+    the bound used is twice that. When |z| + bound is below half the
+    spacing of floats next to y (the spacing below when |y| is a power of
+    two), the exact sum lies strictly inside y's rounding interval and y is
+    ``fsum``'s result. A lane outside that test, such as an exact tie, is
+    still y's when no addition of its errors rounded: the exact sum is then
+    s + c, which y rounds correctly. Lanes whose terms sum in magnitude to
+    2^1000 or more (which includes any lane with a term that is not finite)
+    are not certified: below that no partial sum, here or in ``fsum``, can
+    overflow. Nor is a zero y. Those lanes, and the ties whose errors did
+    not sum exactly, are summed by ``math.fsum``, which also raises what it
+    raises. Besides lane-sized vectors, the temporaries are column subsets
+    of ``terms``, no larger than it.
     """
     rows, shape = len(terms), terms.shape[1:]
     terms = terms.reshape(rows, -1)
+    out = np.full(terms.shape[1], math.fsum([0.0] * rows))
+    # only a lane whose first term is +0.0 can be one of +0.0 alone
+    bits = terms.view(np.int64)
+    maybe = np.flatnonzero(bits[0] == 0)
+    live = np.ones(terms.shape[1], dtype=bool)
+    live[maybe[~bits.take(maybe, axis=1).any(axis=0)]] = False
+    live = np.flatnonzero(live)
+    if len(live) < terms.shape[1]:
+        terms = terms.take(live, axis=1)
     s = terms[0].copy()
     t, b, e = (np.empty_like(s) for _ in range(3))
     c = np.zeros_like(s)
@@ -407,15 +419,32 @@ def fsum_columns(terms: np.ndarray) -> np.ndarray:
         err_abs *= rows * 2.0 ** -52
         err_abs += np.abs(e, out=e)
         certified = err_abs < half
+        rest = np.flatnonzero(~certified)
+        certified[rest] = _errors_sum_exactly(terms[:, rest]) & (y[rest] != 0)
         certified &= abs_sum < 2.0 ** 1000
-    # the lanes of +0.0 alone (all bits clear) are one and the same input
-    zero = np.flatnonzero(y == 0)
-    plus_zero = zero[~terms[:, zero].view(np.int64).any(axis=0)]
-    y[plus_zero] = math.fsum([0.0] * rows)
-    certified[plus_zero] = True
     rest = np.flatnonzero(~certified)
     y[rest] = list(map(math.fsum, terms[:, rest].T.tolist()))
-    return y.reshape(shape)
+    out[live] = y
+    return out.reshape(shape)
+
+
+def _errors_sum_exactly(terms: np.ndarray) -> np.ndarray:
+    """Per column of ``terms``, whether ``fsum_columns``' float sum c of
+    its cascade's errors rounds nowhere: the cascade is run again on these
+    few columns, with a TwoSum on each step of c whose error must be 0 (a
+    non-finite column gives NaN, not 0)."""
+    s = terms[0]
+    c = np.zeros(terms.shape[1])
+    exact = np.ones(terms.shape[1], dtype=bool)
+    for x in terms[1:]:
+        t = s + x
+        b = t - s
+        e = (s - (t - b)) + (x - b)
+        new = c + e
+        back = new - c
+        exact &= (c - (new - back)) + (e - back) == 0
+        s, c = t, new
+    return exact
 
 
 def node_event_probabilities(d: JointDistribution, r: Realization,

@@ -6,13 +6,17 @@ name with fields i_plus, i_minus, i, pi_plus, pi_minus, pi. Negative
 signed atoms additionally carry ``misinformative: true``; exact rational
 log-arguments are included whenever the distribution allowed computing
 them. Tables list nodes bottom-up and print 4 decimals by default.
-Node names come from the lattice (``RedundancyLattice.names``), and each
-node block is one call of a constant-key constructor over the columns of
-the decompositions' blocks. ``render_json`` writes exactly the bytes of
+Node names come from the lattice (``RedundancyLattice.names``), put in
+display order once per source count, and each node block is one call of
+a constant-key constructor over the columns of the decompositions'
+blocks. ``render_json`` writes exactly the bytes of
 ``json.dumps(doc, indent=2)``, each value by the first rule its shape
 (never its key) meets: a dict of node blocks of six finite floats whole
-from templates, one ``repr`` per distinct float; a list of ``str`` one
-item per line; other dicts and lists item by item; the rest by ``json``.
+from templates, one ``repr`` per distinct nonzero float; a list of
+``str`` one item per line; other dicts and lists item by item; the rest
+by ``json``. A node map is checked in one pass per kind: the key tuple of
+every block, the type of every value, the few flags; the names of a list
+or a map are escaped once per tuple of names (``_escaped``).
 """
 
 from __future__ import annotations
@@ -21,12 +25,13 @@ import json
 from functools import lru_cache
 from itertools import chain, compress
 from json.encoder import encode_basestring_ascii
+from operator import countOf
 from typing import Callable, Collection, Sequence
 
 import numpy as np
 
 from .dist import JointDistribution, Realization, _format_mass
-from .lattice import RedundancyLattice
+from .lattice import RedundancyLattice, enumerate_lattice
 from .measures import (AVERAGE_FIELDS, POINTWISE_FIELDS, AverageDecomposition,
                        PointwiseDecomposition)
 
@@ -45,9 +50,8 @@ def realization_label(d: JointDistribution, r: Realization) -> str:
 def decomposition_report(d: JointDistribution, avg: AverageDecomposition,
                          decompositions: Sequence[PointwiseDecomposition] | None = None,
                          ) -> dict:
-    lat = avg.lattice
-    order = display_order(lat)
-    names = list(map(lat.names.__getitem__, order))
+    order = avg.lattice.topological_order
+    names = list(_bottom_up_names(avg.n))
     doc: dict = {
         "n_sources": d.n_sources,
         "nodes": names,
@@ -68,6 +72,13 @@ def decomposition_report(d: JointDistribution, avg: AverageDecomposition,
     return doc
 
 
+@lru_cache(maxsize=None)
+def _bottom_up_names(n: int) -> tuple[str, ...]:
+    """The node names of the n-source lattice in ``display_order``."""
+    lat = enumerate_lattice(n)
+    return tuple(map(lat.names.__getitem__, display_order(lat)))
+
+
 def _average_block(a, b, c, d, e, f) -> dict:
     """A node block of ``AVERAGE_FIELDS``, keys in order. Must match that tuple;
     ``test_node_blocks_hold_the_block_columns_in_field_order`` checks it."""
@@ -81,21 +92,22 @@ def _pointwise_block(a, b, c, d, e, f) -> dict:
 
 
 def _node_blocks(names: Sequence[str], make: Callable[..., dict],
-                 block: np.ndarray, order: Sequence[int]) -> dict:
+                 block: np.ndarray, order: np.ndarray) -> dict:
     """Node name -> ``make(*column)`` over the block's columns in ``order``;
     a node whose signed atom (the last row) is negative is flagged
     ``misinformative``."""
-    nodes = dict(zip(names, map(make, *block[:, order].tolist())))
-    for name in compress(names, (block[-1, order] < 0).tolist()):
+    columns = block.take(order, axis=1)
+    nodes = dict(zip(names, map(make, *columns.tolist())))
+    for name in compress(names, (columns[-1] < 0).tolist()):
         nodes[name]["misinformative"] = True
     return nodes
 
 
 def _pointwise_blocks(dec: PointwiseDecomposition, names: Sequence[str],
-                      order: Sequence[int]) -> dict:
+                      order: np.ndarray) -> dict:
     nodes = _node_blocks(names, _pointwise_block, dec.block, order)
     if dec.exact_pi_plus is not None:
-        for name, j in zip(names, order):
+        for name, j in zip(names, order.tolist()):
             nodes[name]["exact"] = {"i_plus": str(dec.exact_i_plus[j]),
                                     "i_minus": str(dec.exact_i_minus[j]),
                                     "pi_plus": str(dec.exact_pi_plus[j]),
@@ -108,74 +120,105 @@ def _pointwise_blocks(dec: PointwiseDecomposition, names: Sequence[str],
 # ---------------------------------------------------------------------------
 
 def render_json(doc: dict) -> str:
-    """``json.dumps(doc, indent=2)``, byte for byte. A doc nested too deep
-    (or cyclic) for ``_write`` is left to ``json.dumps`` and its errors."""
+    """``json.dumps(doc, indent=2)``, byte for byte, joined once from the
+    pieces ``_write`` appends. A doc nested too deep (or cyclic) for
+    ``_write`` is left to ``json.dumps`` and its errors."""
+    pieces: list[str] = []
     try:
-        return _write(doc, "")
+        _write(doc, "", pieces)
     except RecursionError:
         return json.dumps(doc, indent=2)
+    return "".join(pieces)
 
 
-def _write(value, indent: str) -> str:
-    """``value`` as ``json.dumps(indent=2)`` writes it ``indent`` deep, by
-    the first rule its shape meets: (1) a str-keyed dict whose values are
-    all node blocks of six finite floats in either field layout, optionally
-    flagged ``misinformative``, is written whole from templates; (2) a
-    non-empty list of exact ``str`` one escaped item per line; (3) any other
-    non-empty str-keyed dict or non-empty list item by item; (4) anything
-    else by ``json.dumps``, re-indented (exact: JSON strings hold no raw
-    newline)."""
+def _write(value, indent: str, out: list[str]) -> None:
+    """Append ``value`` to ``out`` as ``json.dumps(indent=2)`` writes it
+    ``indent`` deep, by the first rule its shape meets: (1) a str-keyed
+    dict whose values are all node blocks of six finite floats in either
+    field layout, optionally flagged ``misinformative``, is written whole
+    from templates; (2) a non-empty list of exact ``str`` one escaped item
+    per line; (3) any other non-empty str-keyed dict or non-empty list item
+    by item; (4) anything else by ``json.dumps``, re-indented (exact: JSON
+    strings hold no raw newline)."""
     inner = indent + "  "
-    if type(value) is dict and value and all(type(k) is str for k in value):
-        text = _uniform_node_map(value, indent)
-        if text is not None:
-            return text
-        items = [f"{inner}{encode_basestring_ascii(k)}: {_write(v, inner)}"
-                 for k, v in value.items()]
-        return "{\n" + ",\n".join(items) + "\n" + indent + "}"
-    if type(value) is list and value:
-        items = (map(encode_basestring_ascii, value)
-                 if all(type(x) is str for x in value)
-                 else [_write(x, inner) for x in value])
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
-    return json.dumps(value, indent=2).replace("\n", "\n" + indent)
+    if type(value) is dict and value and set(map(type, value)) == {str}:
+        if _uniform_node_map(value, indent, out):
+            return
+        head = "{\n" + inner
+        for k, v in value.items():
+            out.append(f"{head}{encode_basestring_ascii(k)}: ")
+            _write(v, inner, out)
+            head = ",\n" + inner
+        out.append("\n" + indent + "}")
+    elif type(value) is list and value:
+        if set(map(type, value)) == {str}:
+            out += ["[\n" + inner, (",\n" + inner).join(_escaped(tuple(value)))]
+        else:
+            head = "[\n" + inner
+            for x in value:
+                out.append(head)
+                _write(x, inner, out)
+                head = ",\n" + inner
+        out.append("\n" + indent + "]")
+    else:
+        out.append(json.dumps(value, indent=2).replace("\n", "\n" + indent))
 
 
-def _uniform_node_map(nodes: dict, indent: str) -> str | None:
-    """The text of a non-empty str-keyed node map, or None unless every
-    block qualifies (rule 1 of ``_write``)."""
+@lru_cache(maxsize=16)
+def _escaped(items: tuple[str, ...]) -> tuple[str, ...]:
+    """The JSON literals of a tuple of exact ``str``: a report's node names
+    are escaped once for its node list and all of its node maps."""
+    return tuple(map(encode_basestring_ascii, items))
+
+
+def _uniform_node_map(nodes: dict, indent: str, out: list[str]) -> bool:
+    """Append the text of a non-empty map of exact ``str`` keys to ``out``
+    if every block qualifies (rule 1 of ``_write``); else append nothing
+    and return False."""
     blocks = list(nodes.values())
     if set(map(type, blocks)) != {dict}:
-        return None
-    inner = indent + "  "
-    codes = list(map(_BLOCK_LAYOUTS.get, map(tuple, blocks)))
-    if None in codes:
-        return None
-    flagged = [len(b) == 7 for b in blocks]
-    if not all(b["misinformative"] is True for b in compress(blocks, flagged)):
-        return None
-    # with every flag True, a True left out of a value slot shortens the list
-    values = [v for v in chain.from_iterable(map(dict.values, blocks))
-              if v is not True]
-    if len(values) != 6 * len(blocks) or set(map(type, values)) != {float}:
-        return None
-    floats = np.array(values)
+        return False
+    try:
+        codes = np.fromiter(map(_BLOCK_LAYOUTS.__getitem__, map(tuple, blocks)),
+                            np.intp, len(blocks))
+    except KeyError:
+        return False
+    values = list(chain.from_iterable(map(dict.values, blocks)))
+    # a flagged block (odd code) holds its flag after its six values
+    flagged = codes & 1
+    flags = (np.cumsum(6 + flagged) - 1)[flagged == 1]
+    # with every flag True, six floats per block means every value slot
+    # holds a float
+    if (not all(values[k] is True for k in flags.tolist())
+            or countOf(map(type, values), float) != 6 * len(blocks)):
+        return False
+    floats = np.delete(np.fromiter(values, float, len(values)), flags)
     if not np.isfinite(floats).all():
-        return None
-    # one repr per bit pattern, so 0.0 and -0.0 stay apart
-    bits, inverse = np.unique(floats.view(np.int64), return_inverse=True)
-    reprs = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+        return False
+    # one repr per bit pattern, so 0.0 and -0.0 stay apart; +0.0 (all bits
+    # clear, half the values of an n = 5 report) needs no sort
+    bits = floats.view(np.int64)
+    cells = np.empty(len(bits), dtype=object)
+    cells.fill("0.0")
+    live = np.flatnonzero(bits)
+    distinct, inverse = np.unique(bits[live], return_inverse=True)
+    cells[live] = np.array(list(map(repr, distinct.view(np.float64).tolist())),
+                           dtype=object)[inverse]
+    inner = indent + "  "
     rows = np.empty((len(blocks), 16), dtype=object)
     rows[:, 0] = ",\n" + inner
-    rows[0, 0] = inner
-    rows[:, 1] = list(map(encode_basestring_ascii, nodes))
+    rows[0, 0] = "{\n" + inner
+    rows[:, 1] = _escaped(tuple(nodes))
     rows[:, 2] = ": "
     rows[:, 3::2] = _block_pieces(inner)[codes]
-    rows[:, 4:15:2] = reprs[inverse].reshape(-1, 6)
-    return "{\n" + "".join(rows.ravel().tolist()) + "\n" + indent + "}"
+    rows[:, 4:15:2] = cells.reshape(-1, 6)
+    out += rows.ravel().tolist()
+    out.append("\n" + indent + "}")
+    return True
 
 
-#: Key tuple of a node block -> its row in ``_block_pieces``.
+#: Key tuple of a node block -> its row in ``_block_pieces``; odd rows are
+#: the flagged layouts.
 _BLOCK_LAYOUTS = {keys: k for k, keys in enumerate(
     fields + flag for fields in (AVERAGE_FIELDS, POINTWISE_FIELDS)
     for flag in ((), ("misinformative",)))}

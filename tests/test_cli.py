@@ -317,8 +317,12 @@ def test_bench_deterministic_results(capsys):
     assert r1 == r2
     assert r1["atoms"] == 4 and len(r1["digests"]) == 2
     timing = json.loads(out1)["timing"]
-    for key in ("per_trial_s", "average_s", "report_s"):
+    for key in ("per_trial_s", "average_s", "report_s", "report_build_s", "render_s"):
         assert len(timing[key]) == 2 and all(t >= 0 for t in timing[key])
+    # the report time is its build plus its rendering, each rounded once
+    for total, build, render in zip(timing["report_s"], timing["report_build_s"],
+                                    timing["render_s"]):
+        assert total == pytest.approx(build + render, abs=2e-6)
 
 
 def test_builtins_are_exact_rationals():

@@ -275,6 +275,16 @@ def test_strict_lower_matches_leq_matrix(n):
         assert np.array_equal(lat.strict_lower(j), want[want != j])
 
 
+def test_reading_leq_matrix_keeps_nothing_on_the_lattice():
+    # the oracle is 57 MB at n = 5; no production path reads it
+    lat = RedundancyLattice(3)
+    before = dict(vars(lat))
+    first = lat.leq_matrix
+    assert vars(lat) == before
+    assert lat.leq_matrix is not first
+    assert np.array_equal(lat.leq_matrix, first)
+
+
 def _run_production_paths(with_moebius: bool = True) -> None:
     """Decompose, average, report and tabulate at n = 5; run the axiom
     suite, the closed form, the optimizer and the closed-form gradient (and

@@ -429,6 +429,24 @@ def test_fsum_columns_pinned_cases(rows):
         assert_fsum_columns([lane])
 
 
+@pytest.mark.parametrize("rows", [2, 8])
+def test_fsum_columns_among_thousands_of_plus_zero_lanes(rows):
+    # only lanes of +0.0 alone skip the cascade; each other lane sits
+    # between runs of them, as the pi rows of an n = 5 average do
+    def pad(lane):
+        return lane + [0.0] * (rows - len(lane))
+
+    others = [[-0.0] * rows, pad([-0.0]), pad([0.0, -0.0]),
+              [0.0] * (rows - 1) + [-0.0],
+              pad([math.nan]), pad([0.0, math.inf]), pad([-math.inf]),
+              pad([1.0, ULP1 / 2]), pad([1.0 + ULP1, ULP1 / 2]),  # ties
+              pad([-1.0, -ULP1 / 2]), pad([TINY]), pad([0.1])]
+    lanes = []
+    for k, lane in enumerate(others):
+        lanes += [[0.0] * rows] * (300 + k) + [lane]
+    assert_fsum_columns(lanes + [[0.0] * rows] * 300)
+
+
 @pytest.mark.parametrize("lane, error", [
     ([math.inf, -math.inf], ValueError),
     ([1.0, math.inf, 2.0, -math.inf], ValueError),
@@ -440,10 +458,11 @@ def test_fsum_columns_pinned_cases(rows):
 def test_fsum_columns_raises_what_fsum_raises(lane, error):
     with pytest.raises(error) as want:
         math.fsum(lane)
-    finite = [0.5] * len(lane)
-    with pytest.raises(error) as got:
-        M.fsum_columns(np.array([finite, lane, finite]).T)
-    assert str(got.value) == str(want.value)
+    finite, zero = [0.5] * len(lane), [0.0] * len(lane)
+    for lanes in ([finite, lane, finite], [zero] * 1000 + [lane] + [zero] * 1000):
+        with pytest.raises(error) as got:
+            M.fsum_columns(np.array(lanes).T)
+        assert str(got.value) == str(want.value)
 
 
 def test_fsum_columns_seeded_sweep():

@@ -72,6 +72,26 @@ class StrSub(str):
     pass
 
 
+class LookAlike(str):
+    """A str that equals, and hashes as, a text other than its own."""
+
+    def __new__(cls, text, equal_to):
+        self = super().__new__(cls, text)
+        self.equal_to = equal_to
+        return self
+
+    def __eq__(self, other):
+        return other == self.equal_to
+
+    def __hash__(self):
+        return hash(self.equal_to)
+
+
+NAMES = ["{1}{2}", "{1}", "{2}", "{1,2}"]
+#: Equal to NAMES as a tuple, so a cache keyed on the tuple would serve it.
+SWAPPED = NAMES[:2] + [LookAlike("{3}", NAMES[2])] + NAMES[3:]
+
+
 EXACT = {"i_plus": "1", "i_minus": "log2(3/2)", "pi_plus": "0", "pi_minus": "-1/2"}
 CYCLIC = {"n_sources": 1, "pointwise": [{"nodes": {}}]}
 CYCLIC["pointwise"][0]["nodes"]["{1}"] = CYCLIC
@@ -155,6 +175,19 @@ HAND_MADE = [
      "pointwise": [{"s": ["0", "1"], "tags": ["x"]}]},
     # a str-subclass key in an otherwise qualifying node map
     {"averages": {"a": _block(AVG, FINITE), StrSub("b"): _block(AVG, FINITE)}},
+    # blocks a check that reads less than every key and flag must still
+    # refuse: a numpy flag, a seventh key that is not the flag
+    {"averages": {"a": _block(AVG, FINITE, misinformative=True),
+                  "np-flag": _block(AVG, FINITE, misinformative=np.True_)}},
+    {"averages": {"a": _block(AVG, FINITE, misinformative=True),
+                  "other": _block(AVG, FINITE, other=True)}},
+    # both field layouts in one map, flagged and not: written whole
+    {"mixed": {"a": _block(AVG, FINITE), "b": _block(PW, FINITE, misinformative=True),
+               "c": _block(PW, [REPEATED] * 6),
+               "d": _block(AVG, FINITE[::-1], misinformative=True)}},
+    # a node list, then an equal one holding a str subclass of other text
+    {"nodes": NAMES, "again": SWAPPED, "averages": {
+        name: _block(AVG, FINITE) for name in SWAPPED}},
     # pointwise blocks with exact sub-blocks, as n <= 3 reports carry them
     {"pointwise": [{"t": "0", "s": ["0", "1"], "weight": 0.25, "weight_exact": "1/4",
                     "nodes": {
@@ -164,6 +197,12 @@ HAND_MADE = [
     CYCLIC,
     functools.reduce(lambda inner, _: [inner], range(600), ["deep"]),
 ]
+
+
+def test_swapped_names_equal_the_names():
+    # else the hand-made case with both lists could not catch a cache hit
+    assert tuple(SWAPPED) == tuple(NAMES)
+    assert json.dumps(SWAPPED[2]) == '"{3}"'
 
 
 @pytest.mark.parametrize("doc", HAND_MADE)
