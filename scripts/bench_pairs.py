@@ -62,13 +62,15 @@ def run(tree: str, workload: str, seed: int, seconds: float, trace: int) -> tupl
 
 
 def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
-    """Medians, quartiles and wins of each metric over the pairs whose sides both parsed."""
-    pairs = [{s: p[s]["metrics"] for s in SIDES} for p in pairs if all(p.values())]
+    """Medians and quartiles of each metric over each side's parsed runs, and the change's
+    wins over every pair run: a pair with a side that did not parse is no win, nor is a tie."""
+    runs = {s: [p[s]["metrics"] for p in pairs if p[s]] for s in SIDES}
+    both = [(p["parent"]["metrics"], p["change"]["metrics"]) for p in pairs if all(p.values())]
     out = {}
-    for metric, direction in better.items() if len(pairs) > 1 else ():
-        values = {s: [p[s][metric]["value"] for p in pairs] for s in SIDES}
-        wins = sum(c < p if direction == "lower" else c > p
-                   for p, c in zip(values["parent"], values["change"]))
+    for metric, direction in better.items() if min(map(len, runs.values())) > 1 else ():
+        values = {s: [m[metric]["value"] for m in ms] for s, ms in runs.items()}
+        paired = [(p[metric]["value"], c[metric]["value"]) for p, c in both]
+        wins = sum(c < p if direction == "lower" else c > p for p, c in paired)
         stats = {s: dict(zip(("q1", "median", "q3"), statistics.quantiles(
             v, n=4, method="inclusive")), n=len(v)) for s, v in values.items()}
         out[metric] = {**stats, "change_wins": f"{wins}/{len(pairs)}",
@@ -109,6 +111,7 @@ def main() -> None:
         parsed = {s: [p[s] or {} for p in pairs] for s in SIDES}
         doc["workloads"][wl] = {
             "summary": summarize(pairs, better),
+            "unparsed_pairs": sum(not all(p.values()) for p in pairs),
             **{key + "_ops": {s: sum(r.get(key, 0) for r in parsed[s]) for s in SIDES}
                for key in ("failed", "attempted")},
             "all_correct": all(r.get("correct") is True for s in SIDES for r in parsed[s]),

@@ -66,10 +66,8 @@ def parity_distribution(k: int) -> JointDistribution:
     if not 1 <= k <= MAX_PARITY_BITS:
         raise ValueError(f"parity bit count must be in 1..{MAX_PARITY_BITS}")
     q = Fraction(1, 2**k)
-    rows = []
-    for code in range(2**k):
-        s = tuple(code >> i & 1 for i in range(k))
-        rows.append((sum(s) % 2, s, q))
+    codes = (tuple(code >> i & 1 for i in range(k)) for code in range(2**k))
+    rows = [(sum(s) % 2, s, q) for s in codes]
     return _build(_bits("t"), [_bits(f"s{i + 1}") for i in range(k)], rows)
 
 

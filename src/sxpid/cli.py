@@ -20,7 +20,7 @@ import numpy as np
 
 from . import grad, measures, report
 from .builtins import builtin_distribution, builtin_names
-from .dist import (DistributionError, JointDistribution, Realization,
+from .dist import (Alphabet, DistributionError, JointDistribution, Realization,
                    load_distribution)
 from .lattice import (BoundaryError, LatticeError, enumerate_lattice,
                       parse_node_name)
@@ -377,15 +377,12 @@ def cmd_optimize(args) -> int:
 
 
 def _bench_distribution(n: int, rng: np.random.Generator) -> JointDistribution:
-    from .dist import Alphabet
-
     shape = (2,) + (2,) * n
     raw = rng.uniform(0.2, 1.0, size=int(np.prod(shape)))
     raw /= raw.sum()
     bits = lambda name: Alphabet(name, ("0", "1"))
-    points = []
-    for k, idx in enumerate(np.ndindex(*shape)):
-        points.append((Realization(t=idx[0], s=tuple(idx[1:])), float(raw[k])))
+    points = [(Realization(t=idx[0], s=tuple(idx[1:])), float(raw[k]))
+              for k, idx in enumerate(np.ndindex(*shape))]
     return JointDistribution.from_points(
         bits("t"), [bits(f"s{i+1}") for i in range(n)], points,
         normalization_tolerance=1e-6)
@@ -399,8 +396,7 @@ def cmd_bench(args) -> int:
 
     rng = np.random.default_rng(args.seed)
     dists = [_bench_distribution(args.n, rng) for _ in range(args.trials)]
-    digests = []
-    times, average_times, report_times, build_times, render_times = [], [], [], [], []
+    digests, stamps = [], []
     for d in dists:
         t0 = time.perf_counter()
         decs = measures.decompose_support(d, lat)
@@ -410,23 +406,16 @@ def cmd_bench(args) -> int:
         doc = report.decomposition_report(d, avg)
         t3 = time.perf_counter()
         report.render_json(doc)
-        t4 = time.perf_counter()
-        times.append(t1 - t0)
-        average_times.append(t2 - t1)
-        report_times.append(t4 - t2)
-        build_times.append(t3 - t2)
-        render_times.append(t4 - t3)
+        stamps.append((t0, t1, t2, t3, time.perf_counter()))
         payload = ";".join(f"{v:.12f}" for dec in decs for v in dec.pi)
         digests.append(hashlib.sha256(payload.encode()).hexdigest()[:16])
 
     results = {"n": args.n, "atoms": len(lat), "trials": args.trials,
                "seed": args.seed, "digests": digests}
-    timing = {"lattice_build_s": round(build_s, 6),
-              "per_trial_s": [round(t, 6) for t in times],
-              "average_s": [round(t, 6) for t in average_times],
-              "report_s": [round(t, 6) for t in report_times],
-              "report_build_s": [round(t, 6) for t in build_times],
-              "render_s": [round(t, 6) for t in render_times]}
+    timing = {"lattice_build_s": round(build_s, 6)}
+    for key, a, b in (("per_trial_s", 0, 1), ("average_s", 1, 2), ("report_s", 2, 4),
+                      ("report_build_s", 2, 3), ("render_s", 3, 4)):
+        timing[key] = [round(t[b] - t[a], 6) for t in stamps]
     print(json.dumps({"results": results, "timing": timing}, indent=2))
     return EXIT_OK
 

@@ -292,16 +292,17 @@ def plan_event_masses(up_sets: np.ndarray, plan: EventPlan, masses: np.ndarray,
     sources on which a point agrees with the realization) of the points
     inside union u (``lattice.coalition_up_sets``), so a union's mass is a
     sum of mask bins, and no realization's sums depend on the others.
-    ``up_sets`` is the boolean matrix or a copy already of the masses'
-    dtype (``RedundancyLattice.kernel_up_sets``), which is read without a
-    cast. Masses are added into their bins in point order.
+    ``up_sets`` is any 0/1 table; this is the one place it meets the
+    masses' dtype. Rows already of that dtype are read uncast, int64
+    masses cast them once, and object masses read them as bools, so sums
+    of Python ints stay ints. Masses are added into their bins in point
+    order.
 
     Returns ``(sums, p_t)``: ``sums[r, u]`` is (mass of union u, mass of
     union u within the target event T = t_r) and ``p_t[r]`` is the mass of T.
     """
-    if up_sets.dtype not in (bool, masses.dtype):
-        # a float copy would turn exact Python-int sums into floats
-        raise TypeError(f"{up_sets.dtype} up-sets for {masses.dtype} masses")
+    if masses.dtype == object:
+        up_sets = up_sets.astype(bool)
     in_target = np.where(plan.same_target, masses, 0)
     hist = np.zeros((len(plan.agree), up_sets.shape[1], 2), dtype=masses.dtype)
     rows = np.arange(len(plan.agree))[:, None]
@@ -538,11 +539,10 @@ def dump_csv(d: JointDistribution) -> str:
 
 
 def dump_json(d: JointDistribution) -> str:
+    alphabet = lambda a: {"name": a.name, "symbols": list(a.symbols)}
     doc = {
-        "target_alphabet": {"name": d.target_alphabet.name,
-                            "symbols": list(d.target_alphabet.symbols)},
-        "source_alphabets": [{"name": a.name, "symbols": list(a.symbols)}
-                             for a in d.source_alphabets],
+        "target_alphabet": alphabet(d.target_alphabet),
+        "source_alphabets": [alphabet(a) for a in d.source_alphabets],
         "support": [
             {"t": d.target_alphabet.label(r.t),
              "s": [a.label(si) for a, si in zip(d.source_alphabets, r.s)],

@@ -48,7 +48,7 @@ they hold at most 0.53 MB.
 Numerics. One ``lattice.evaluate`` call on the plan, for all realizations
 of an evaluation, gives the event masses (cell masses binned by agreement
 mask in grid order, one 2^n-term product per realization over every node,
-with the lattice's ``kernel_up_sets``), checks that each is positive, and
+with the lattice's ``up_sets``), checks that each is positive, and
 takes the logs of the plan's rows' masses with ``lattice.log_parts`` as for
 ``measures``. One ``run_passes`` call on the complex pairs i+ + 1j i- of
 those rows makes the subtractions that ``invert_array`` makes on the way to
@@ -116,8 +116,7 @@ def grid_from_distribution(d: JointDistribution) -> np.ndarray:
     """Flat raw-mass vector over the full grid; zeros where unsupported."""
     shape = grid_shape(d)
     p = np.zeros(int(np.prod(shape)))
-    for r, m in zip(d.support, d.masses):
-        p[int(np.ravel_multi_index((r.t, *r.s), shape))] = float(m)
+    p[np.ravel_multi_index(d.support_array.T, shape)] = [float(m) for m in d.masses]
     return p
 
 
@@ -169,7 +168,11 @@ def _check_which(which: str) -> None:
 
 
 def _cell(shape: tuple[int, ...], r: Realization) -> int:
-    return int(np.ravel_multi_index((r.t, *r.s), shape))
+    """The grid cell of ``r``, once it is a realization of the grid."""
+    at = (r.t, *r.s)
+    if len(at) != len(shape) or not all(0 <= x < k for x, k in zip(at, shape)):
+        raise ValueError(f"{r} is not a cell of the {shape} outcome grid")
+    return int(np.ravel_multi_index(at, shape))
 
 
 # ---------------------------------------------------------------------------
@@ -190,12 +193,12 @@ def _evaluate(p: np.ndarray, shape: tuple[int, ...], cells: np.ndarray, j: int,
     rows, passes, signs = (_node_plan(lat.n, j) if quantity == "pi"
                            else (np.array([j]), (), np.ones(1)))
     plan, bins = _grid_plan(shape, np.asarray(cells, dtype=np.intp).tobytes())
-    sums, p_t, parts = evaluate(lat.kernel_up_sets(p), plan, p, rows=rows)
+    sums, p_t, parts = evaluate(lat.up_sets, plan, p, rows=rows)
     pi = run_passes(parts, passes)[0]
     plus, minus = pi.real, pi.imag
 
     p_e, p_te = sums.transpose(2, 1, 0)
-    up = lat.float_up_sets[rows]
+    up = lat.up_sets[rows]
     d_plus = (-(signs[:, None] / p_e).T @ up / _LN2).take(bins)
     w_minus = (-(signs[:, None] / p_te).T @ up / _LN2
                + (signs.sum() / (p_t * _LN2))[:, None])
@@ -264,10 +267,10 @@ def grad_atom_via_closed_form(point: SimplexPoint, r: Realization,
         return GradientRecord("pi_net", alpha, r, point.shape, plus - minus)
     lat = enumerate_lattice(point.n_sources)
     plan, _ = _grid_plan(point.shape, np.intp(_cell(point.shape, r)).tobytes())
-    (sums,), (p_t,), _ = evaluate(lat.kernel_up_sets(point.p), plan, point.p)
+    (sums,), (p_t,), _ = evaluate(lat.up_sets, plan, point.p)
     target = plan.same_target[0]
     ind = lat.up_sets[:, plan.agree[0]]
-    ind = (ind if which == "plus" else ind & target).astype(float)
+    ind = ind if which == "plus" else ind * target
     mass = sums[:, 0 if which == "plus" else 1]
     kids = lat.children_table[j]
     probs = [mass[c] for c in kids]
@@ -293,9 +296,15 @@ def _average_and_grad(p: np.ndarray, shape: tuple[int, ...], alpha: Antichain,
     gradient, weight term plus measure term, from one evaluation."""
     p = np.asarray(p, dtype=float)
     j = _node_index(p, shape, alpha)
-    if support is not None and np.shape(support) != (p.size,):
-        raise ValueError(f"support mask of shape {np.shape(support)} does not "
-                         f"match the {p.size} cells of the outcome grid")
+    if support is not None:
+        support = np.asarray(support)
+        if support.shape != (p.size,):
+            raise ValueError(f"support mask of shape {support.shape} does not "
+                             f"match the {p.size} cells of the outcome grid")
+        if support.dtype != bool:
+            raise ValueError(f"support mask of dtype {support.dtype} is not boolean")
+        if not support.any():
+            raise ValueError("support mask selects no cell")
     cells = np.arange(p.size) if support is None else np.flatnonzero(support)
     values, rows = _evaluate(p, shape, cells, j, "pi", which)
     total = 0.0

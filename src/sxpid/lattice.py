@@ -180,15 +180,15 @@ def meet(a: Antichain, b: Antichain) -> Antichain:
 def coalition_up_sets(n: int, mask_lists: Sequence[Sequence[int]]) -> np.ndarray:
     """Up-sets of coalition lists as rows over the masks 0..2^n-1.
 
-    Entry [u, c] is True when coalition mask c contains a member of list u,
+    Entry [u, c] is 1.0 when coalition mask c contains a member of list u,
     that is, when the event of coalition c lies inside the union of the
-    events of list u.
+    events of list u, else 0.0.
     """
     coalitions = np.arange(1 << n)
-    rows = np.zeros((len(mask_lists), 1 << n), dtype=bool)
+    rows = np.zeros((len(mask_lists), 1 << n))
     for row, masks in zip(rows, mask_lists):
         for m in masks:
-            row |= coalitions & m == m
+            row[coalitions & m == m] = 1
     return rows
 
 
@@ -249,32 +249,18 @@ class RedundancyLattice:
         return tuple(a.name for a in self.nodes)
 
     def node_by_name(self, name: str) -> Antichain:
-        a = parse_node_name(self.n, name)
-        if a not in self._index:
-            raise LatticeError(f"{name!r} is not a lattice node")
-        return a
+        # every valid antichain over n sources is a node
+        return parse_node_name(self.n, name)
 
     # -- order ------------------------------------------------------------
 
     @cached_property
     def up_sets(self) -> np.ndarray:
-        """``coalition_up_sets`` of every node, rows in node order."""
+        """``coalition_up_sets`` of every node, rows in node order (float64
+        0/1, 1.9 MB at n = 5), read by the event-mass kernel for every mass
+        dtype and by gradient contractions."""
         bits = np.arange(1 << self.n, dtype=np.uint64)
-        return (self._up_keys[:, None] >> bits & np.uint64(1)).astype(bool)
-
-    @cached_property
-    def float_up_sets(self) -> np.ndarray:
-        """``up_sets`` as floats, made on first read (1.9 MB at n = 5): the
-        event-mass kernel reads it uncast, as do gradient contractions."""
-        return self.up_sets.astype(float)
-
-    def kernel_up_sets(self, masses: np.ndarray) -> np.ndarray:
-        """The up-sets as ``dist.plan_event_masses`` reads them for
-        ``masses``: the float copy for float64 masses, which it reads
-        without a cast, else the boolean matrix, which it casts to the
-        masses' dtype (so exact sums stay exact). Tables built from the
-        rows, such as concatenations, stay boolean."""
-        return self.float_up_sets if masses.dtype == np.float64 else self.up_sets
+        return (self._up_keys[:, None] >> bits & np.uint64(1)).astype(float)
 
     @property
     def leq_matrix(self) -> np.ndarray:

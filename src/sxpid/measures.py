@@ -147,7 +147,7 @@ def i_sx_exclusion_form(d: JointDistribution, r: Realization,
     rational masses and to float precision otherwise, since the excluded
     masses are summed over the excluded points themselves.
     """
-    (p_excl,), (p_t_excl,), p_t = _masses_at(d, r, ~_check_alpha(d, alpha))
+    (p_excl,), (p_t_excl,), p_t = _masses_at(d, r, 1 - _check_alpha(d, alpha))
     return _log2(p_t - p_t_excl) - _log2(d.total_mass() - p_excl) - _log2(p_t)
 
 
@@ -294,7 +294,7 @@ def pointwise_decomposition(d: JointDistribution, r: Realization,
     """Evaluate i+/i- at every node and Moebius-invert both lattices."""
     lat = _lattice_of(d, lattice)
     plan, masses, den = _plan(d, [r])
-    sums, p_t, parts = evaluate(lat.kernel_up_sets(masses), plan, masses, den)
+    sums, p_t, parts = evaluate(lat.up_sets, plan, masses, den)
     ip, im = parts.real[:, 0], parts.imag[:, 0]
     pi = invert_array(lat, parts[:, 0])
     pip, pim = pi.real, pi.imag
@@ -307,12 +307,8 @@ def pointwise_decomposition(d: JointDistribution, r: Realization,
         ri_plus = [1 / p for p in p_plus]
         ri_minus = [p_t / p for p in p_minus]
         exact_plus, exact_minus = _exact_atoms(lat, ri_plus, ri_minus)
-        exact = {
-            "exact_i_plus": tuple(ri_plus),
-            "exact_i_minus": tuple(ri_minus),
-            "exact_pi_plus": exact_plus,
-            "exact_pi_minus": exact_minus,
-        }
+        exact = dict(exact_i_plus=tuple(ri_plus), exact_i_minus=tuple(ri_minus),
+                     exact_pi_plus=exact_plus, exact_pi_minus=exact_minus)
 
     return PointwiseDecomposition(
         realization=r, weight=d.mass(r), n=d.n_sources,
@@ -334,14 +330,35 @@ def decompose_support(d: JointDistribution,
     return [pointwise_decomposition(d, r, lat) for r in d.support]
 
 
+def check_decompositions(d: JointDistribution,
+                         decompositions: Sequence[PointwiseDecomposition]) -> None:
+    """Raise ``DistributionError`` naming the first decomposition that is
+    not d's at the support point of its place: one per support point, in
+    support order, over d's sources and weighted by d's mass there."""
+    for k, (dec, r, m) in enumerate(zip(decompositions, d.support, d.masses)):
+        for what, got, want in (("source count", dec.n, d.n_sources),
+                                ("realization", dec.realization, r), ("weight", dec.weight, m)):
+            if got != want:
+                raise DistributionError(f"decomposition {k} has {what} {got} "
+                                        f"where the distribution has {want}")
+    if len(decompositions) != len(d.support):
+        raise DistributionError(f"{len(decompositions)} decompositions for "
+                                f"{len(d.support)} support points")
+
+
 def average_decomposition(d: JointDistribution,
                           lattice: RedundancyLattice | None = None,
                           decompositions: Sequence[PointwiseDecomposition] | None = None,
                           ) -> AverageDecomposition:
     """Mass-weighted averages over the support (zero-mass outcomes carry
-    no weight and are never evaluated)."""
+    no weight and are never evaluated); given ``decompositions`` must be
+    d's (``check_decompositions``)."""
     lat = _lattice_of(d, lattice)
-    decs = decompositions or decompose_support(d, lat)
+    decs = decompositions
+    if decs is None:
+        decs = decompose_support(d, lat)
+    else:
+        check_decompositions(d, decs)
     weights = np.array([float(dec.weight) for dec in decs])
     # the products are those of a per-term fsum, so each sum is the
     # correctly rounded one
@@ -457,7 +474,7 @@ def node_event_probabilities(d: JointDistribution, r: Realization,
     float masses.
     """
     lat = _lattice_of(d, lattice)
-    return _masses_at(d, r, lat.kernel_up_sets(d.mass_array[0]))
+    return _masses_at(d, r, lat.up_sets)
 
 
 def form_equivalence_max_dev(d: JointDistribution,
@@ -471,7 +488,7 @@ def form_equivalence_max_dev(d: JointDistribution,
     """
     up = _lattice_of(d, lattice).up_sets
     plan, masses, den = _plan(d, d.support)
-    sums, p_t = plan_event_masses(np.concatenate([up, ~up]), plan, masses)
+    sums, p_t = plan_event_masses(np.concatenate([up, 1 - up]), plan, masses)
     plus, minus = log_parts(sums[:, :len(up)], p_t, den)
     worst, total = 0.0, d.total_mass()
     masses = (_as_masses(x, den).tolist() for x in (sums, p_t))
@@ -509,7 +526,7 @@ def child_meet_mass_identity_max_dev(d: JointDistribution,
     lat = _lattice_of(d, lattice)
     j, g, mb, mbg = np.array(_child_meet_plan(lat), dtype=np.intp).reshape(-1, 4).T
     plan, masses, den = _plan(d, d.support)
-    sums, _ = plan_event_masses(lat.kernel_up_sets(masses), plan, masses)
+    sums, _ = plan_event_masses(lat.up_sets, plan, masses)
     worst = max(np.abs(s[mbg] - (s[mb] + s[g] - s[j])).max(initial=0) for s in sums)
     return float(worst) / (den or 1)
 
@@ -588,13 +605,10 @@ def target_chain_terms(d: JointDistribution, r: Realization, alpha: Antichain,
     The first value must equal the sum of the other two (the target chain
     rule); t1 is the group of r's target symbol under ``group_of``.
     """
-    whole = i_sx(d, r, alpha)
     coarse = coarsen_target(d, group_of)
-    groups = sorted(set(group_of))
-    r1 = Realization(t=groups.index(group_of[r.t]), s=r.s)
-    first = i_sx(coarse, r1, alpha)
-    second = conditional_i_sx(d, r, alpha, group_of)
-    return whole, first, second
+    r1 = Realization(t=sorted(set(group_of)).index(group_of[r.t]), s=r.s)
+    return (i_sx(d, r, alpha), i_sx(coarse, r1, alpha),
+            conditional_i_sx(d, r, alpha, group_of))
 
 
 def joint_source_distribution(d: JointDistribution) -> JointDistribution:

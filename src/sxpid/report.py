@@ -30,10 +30,10 @@ from typing import Callable, Collection, Sequence
 
 import numpy as np
 
-from .dist import JointDistribution, Realization, _format_mass
+from .dist import DistributionError, JointDistribution, Realization, _format_mass
 from .lattice import RedundancyLattice, enumerate_lattice
 from .measures import (AVERAGE_FIELDS, POINTWISE_FIELDS, AverageDecomposition,
-                       PointwiseDecomposition)
+                       PointwiseDecomposition, check_decompositions)
 
 
 def display_order(lattice: RedundancyLattice) -> list[int]:
@@ -50,6 +50,11 @@ def realization_label(d: JointDistribution, r: Realization) -> str:
 def decomposition_report(d: JointDistribution, avg: AverageDecomposition,
                          decompositions: Sequence[PointwiseDecomposition] | None = None,
                          ) -> dict:
+    if avg.n != d.n_sources:
+        raise DistributionError(f"averages over {avg.n} sources, the "
+                                f"distribution has {d.n_sources}")
+    if decompositions is not None:
+        check_decompositions(d, decompositions)
     order = avg.lattice.topological_order
     names = list(_bottom_up_names(avg.n))
     doc: dict = {
@@ -108,10 +113,8 @@ def _pointwise_blocks(dec: PointwiseDecomposition, names: Sequence[str],
     nodes = _node_blocks(names, _pointwise_block, dec.block, order)
     if dec.exact_pi_plus is not None:
         for name, j in zip(names, order.tolist()):
-            nodes[name]["exact"] = {"i_plus": str(dec.exact_i_plus[j]),
-                                    "i_minus": str(dec.exact_i_minus[j]),
-                                    "pi_plus": str(dec.exact_pi_plus[j]),
-                                    "pi_minus": str(dec.exact_pi_minus[j])}
+            nodes[name]["exact"] = {k: str(getattr(dec, "exact_" + k)[j]) for k
+                                    in ("i_plus", "i_minus", "pi_plus", "pi_minus")}
     return nodes
 
 

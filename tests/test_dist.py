@@ -422,8 +422,8 @@ def test_event_masses_do_not_depend_on_the_batch(n):
 @pytest.mark.parametrize("n", [2, 4, 5])
 def test_plan_and_mass_steps_give_the_kernel_bits(n):
     # the kernel's plan step then its mass step, and the evaluation's sums;
-    # the lattice's float copy of the up-sets, read uncast, gives the bits
-    # of the bool matrix
+    # the lattice's float up-sets, read uncast, give the bits of the same
+    # table as bools
     rng = np.random.default_rng(50 + n)
     grid = np.indices((3,) + (2,) * n).reshape(n + 1, -1).T
     points = grid[rng.permutation(len(grid))]
@@ -437,12 +437,12 @@ def test_plan_and_mass_steps_give_the_kernel_bits(n):
     np.add.at(hist[..., 1], (rows, plan.agree),
               np.where(plan.same_target, masses, 0.0))
     want = np.matmul(lat.up_sets.astype(float), hist)
-    for up_sets in (lat.up_sets, lat.float_up_sets):
+    for up_sets in (lat.up_sets, lat.up_sets.astype(bool)):
         assert plan_event_masses(up_sets, plan, masses)[0].tobytes() == want.tobytes()
     assert evaluate(lat.up_sets, plan, masses)[0].tobytes() == want.tobytes()
-    exact = np.array([int(m * 2**60) * 3**40 for m in masses], dtype=object)
-    assert lat.kernel_up_sets(masses) is lat.float_up_sets
-    for m in (exact, np.arange(len(masses), dtype=np.int64)):
-        assert lat.kernel_up_sets(m) is lat.up_sets
-    with pytest.raises(TypeError, match="^float64 up-sets for object masses$"):
-        plan_event_masses(lat.float_up_sets, plan, exact)
+    # the float table meets exact masses: Python-int sums, those of int64
+    ints = rng.integers(1, 10**6, size=len(points))
+    exact = plan_event_masses(lat.up_sets, plan, ints.astype(object) * 3**40)
+    for got, want in zip(exact, plan_event_masses(lat.up_sets, plan, ints)):
+        assert {type(x) for x in got.flat} == {int}
+        assert got.tolist() == (want.astype(object) * 3**40).tolist()

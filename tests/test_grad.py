@@ -165,7 +165,7 @@ def _reference(p, shape, k):
     i = np.stack([-np.log2(m[:, 0]), math.log2(p_t) - np.log2(m[:, 1])], axis=1)
     g_plus = -(inside / (m[:, :1] * math.log(2.0)))
     g_minus = (target / (p_t * math.log(2.0))
-               - (inside & target) / (m[:, 1:] * math.log(2.0)))
+               - (inside * target) / (m[:, 1:] * math.log(2.0)))
     out = {}
     for q, parts, gp, gm in (("i", i, g_plus, g_minus),
                              ("pi", invert_array(lat, i), invert_array(lat, g_plus),
