@@ -99,7 +99,7 @@ class SimplexPoint:
             raise BoundaryError(
                 f"not an interior point: min mass {arr.min()} < {self.epsilon}")
         if abs(arr.sum() - 1.0) > 1e-9:
-            raise ValueError(f"masses sum to {arr.sum()!r}")
+            raise ValueError(f"masses sum to {float(arr.sum())!r}")
         arr.flags.writeable = False
         object.__setattr__(self, "p", arr)
 

@@ -1,11 +1,14 @@
 """Shared builders for the test suite."""
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
 from hypothesis import strategies as st
 
+from sxpid.builtins import xor_distribution, xorduplicate_distribution
 from sxpid.dist import Alphabet, JointDistribution, Realization
+from sxpid.measures import decompose_support
 
 
 #: The XOR support with masses over the denominator 10^20, beyond 2^64.
@@ -56,3 +59,20 @@ def rational_weights(n_cells: int, positive: bool = False):
     low = 1 if positive else 0
     return st.lists(st.integers(low, 12), min_size=n_cells,
                     max_size=n_cells).filter(lambda w: sum(w) > 0)
+
+
+def foreign_decompositions():
+    """Case -> (distribution, decompositions that are not its own, message)."""
+    d = xor_distribution()
+    decs = decompose_support(d)
+    heavy = dataclasses.replace(decs[2], weight=Fraction(1, 2))
+    return {
+        "source count": (xorduplicate_distribution(), decs, "^decomposition 0 has "
+                         "source count 2 where the distribution has 3$"),
+        "subset": (d, decs[:1], "^1 decompositions for 4 support points$"),
+        "order": (d, decs[1:] + decs[:1], r"^decomposition 0 has realization "
+                  r"Realization\(t=0, s=\(1, 1\)\) where the distribution has "
+                  r"Realization\(t=0, s=\(0, 0\)\)$"),
+        "weight": (d, decs[:2] + [heavy] + decs[3:], "^decomposition 2 has "
+                   "weight 1/2 where the distribution has 1/4$"),
+    }

@@ -14,6 +14,7 @@ from sxpid import cli, measures, report
 from sxpid.builtins import builtin_distribution
 from sxpid.dist import JointDistribution, Realization, dump_csv, dump_json
 from sxpid.dist import Alphabet
+from sxpid.lattice import enumerate_lattice
 
 XOR_CSV = "t,s1,s2,p\n0,0,0,0.25\n1,0,1,0.25\n1,1,0,0.25\n0,1,1,0.25\n"
 
@@ -354,3 +355,33 @@ def test_parity_out_of_range_is_lookup_miss(capsys):
     assert cli.main(["compute", "parity:9"]) == 2
     err = capsys.readouterr().err
     assert "parity:9" in err and "1..5" in err
+
+
+@pytest.mark.parametrize("name", ["pwunq", "rnd", "rnderr", "xorduplicate",
+                                  "parity:3", "parity:4"])
+def test_example_checks_of_each_builtin_pass(capsys, name):
+    code, out = run(capsys, "example", name)
+    table, checks = out.rstrip("\n").split("\n\n")
+    assert code == 0 and table.startswith("node ")
+    assert checks and all(line.startswith("PASS  ") for line in checks.splitlines())
+
+
+def test_example_prints_the_requested_atom(capsys):
+    code, out = run(capsys, "example", "parity:3", "--atom", "{1,2}{3}")
+    line = next(x for x in out.splitlines() if x.startswith("pi("))
+    d = builtin_distribution("parity:3")
+    lat = enumerate_lattice(3)
+    j = lat.index(lat.node_by_name("{3}{1,2}"))
+    dec = measures.pointwise_decomposition(d, d.support[0])
+    avg = measures.average_decomposition(d)
+    assert code == 0
+    assert line == (f"pi({{3}}{{1,2}}) at t=0 s=(0,0,0): {dec.pi[j]:.6f} bits "
+                    f"(average {avg.Pi[j]:.6f})")
+
+
+def test_gradient_at_a_realization_agrees_with_finite_differences(capsys):
+    code, out = run(capsys, "gradient", "rnderr", "--atom", "{1}{2}", "--mix", "0.1",
+                    "--realization", "0,0,1", "--check-fd")
+    doc = json.loads(out)
+    assert code == 0 and doc["quantity"] == "pi_net" and doc["fd_ok"] is True
+    assert len(doc["partials"]) == 8

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -446,3 +447,31 @@ def test_plan_and_mass_steps_give_the_kernel_bits(n):
     for got, want in zip(exact, plan_event_masses(lat.up_sets, plan, ints)):
         assert {type(x) for x in got.flat} == {int}
         assert got.tolist() == (want.astype(object) * 3**40).tolist()
+
+
+@pytest.mark.parametrize("r, m, message", [
+    (Realization(0, (0, 0)), Fraction(-1, 4), "negative mass -1/4 at {r}"),
+    (Realization(0, (0,)), Fraction(1, 4), "realization {r} has wrong arity"),
+    (Realization(2, (0, 0)), Fraction(1, 4), "target index out of range at {r}"),
+    (Realization(0, (0, 2)), Fraction(1, 4), "source 2 index out of range at {r}"),
+])
+def test_joint_distribution_names_a_bad_point(r, m, message):
+    rest = [(Realization(1, (0, 1)), Fraction(1, 4)),
+            (Realization(1, (1, 0)), Fraction(1, 4)),
+            (Realization(0, (1, 1)), Fraction(1, 2) - m)]
+    with pytest.raises(DistributionError, match=f"^{re.escape(message.format(r=r))}$"):
+        JointDistribution.from_points(bits("t"), [bits("s1"), bits("s2")],
+                                      [(r, m)] + rest)
+
+
+@pytest.mark.parametrize("text, fmt, message", [
+    (XOR_CSV, "xml", "^unknown format 'xml'$"),
+    ("\n \n", "csv", "^csv input: row 1: empty input$"),
+    ('{"target_alphabet": ', "json", "^json input: Expecting value: line 1 column 21"),
+    (json.dumps({"target_alphabet": {"symbols": ["0"]}, "source_alphabets": [],
+                 "support": []}), "json",
+     "^json input: target_alphabet: need name and symbols$"),
+])
+def test_load_distribution_names_what_is_wrong(text, fmt, message):
+    with pytest.raises(DistributionFormatError, match=message):
+        load_distribution(text, fmt)

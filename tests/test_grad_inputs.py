@@ -110,3 +110,75 @@ def test_negative_coordinate_names_the_first_realization_it_breaks(k, where):
     text = f"an event at Realization({where}) has nonpositive mass"
     with pytest.raises(BoundaryError, match=f"^{re.escape(text)}$"):
         G.average_atom_value(p, (2, 2, 2), enumerate_lattice(2).top)
+
+
+#: The realization-taking entry points as ``call(point, r)``.
+AT_REALIZATION = {
+    "grad_i_sx_parts": lambda pt, r: G.grad_i_sx_parts(pt, r, enumerate_lattice(2).top),
+    "grad_atom": lambda pt, r: G.grad_atom(pt, r, enumerate_lattice(2).top),
+    "grad_atom_via_closed_form":
+        lambda pt, r: G.grad_atom_via_closed_form(pt, r, enumerate_lattice(2).top),
+    "pointwise_value":
+        lambda pt, r: G.pointwise_value(pt.p, pt.shape, r, enumerate_lattice(2).top,
+                                        "pi", "net"),
+}
+
+
+@pytest.mark.parametrize("entry", AT_REALIZATION)
+@pytest.mark.parametrize("r", [Realization(5, (0, 0)), Realization(0, (-1, 0)),
+                               Realization(0, (0, 2)), Realization(0, (0, 0, 0)),
+                               Realization(0, (0,))])
+def test_realization_outside_the_grid_is_named(entry, r):
+    # a random point, as the closed form rejects the ties of a symmetric one
+    pt = G.random_interior((2, 2, 2), np.random.default_rng(7))
+    AT_REALIZATION[entry](pt, _R)
+    text = f"{r} is not a cell of the (2, 2, 2) outcome grid"
+    with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+        AT_REALIZATION[entry](pt, r)
+
+
+@pytest.mark.parametrize("support, message", [
+    (np.arange(8), "^support mask of dtype int64 is not boolean$"),
+    (np.ones(8), "^support mask of dtype float64 is not boolean$"),
+    (np.zeros(8, bool), "^support mask selects no cell$")])
+def test_support_mask_must_be_boolean_and_select_a_cell(support, message):
+    pt = G.interior_mix(xor_distribution(), 0.2)
+    top = enumerate_lattice(2).top
+    with pytest.raises(ValueError, match=message):
+        G.average_atom_value(pt.p, pt.shape, top, support=support)
+    one = np.arange(8) == 3
+    assert G.average_atom_value(pt.p, pt.shape, top, support=one) == \
+        pt.p[3] * G.pointwise_value(pt.p, pt.shape, Realization(0, (1, 1)), top,
+                                    "pi", "net")
+
+
+def test_simplex_point_masses_must_sum_to_one():
+    with pytest.raises(ValueError, match=r"^masses sum to 1\.6$"):
+        G.SimplexPoint((2, 2, 2), np.full(8, 0.2))
+
+
+def test_pointwise_value_rejects_an_unknown_quantity():
+    pt = G.interior_mix(xor_distribution(), 0.2)
+    with pytest.raises(ValueError, match="^quantity must be 'i' or 'pi'$"):
+        G.pointwise_value(pt.p, pt.shape, _R, enumerate_lattice(2).top, "atom", "net")
+
+
+def test_mechanism_fixed_source_pmf_of_the_wrong_length_rejected():
+    with pytest.raises(ValueError, match="^source pmf length does not match the grid$"):
+        _run(_MECH, np.full(3, 1 / 3))
+
+
+def test_mechanism_needs_every_source_outcome():
+    from sxpid.builtins import rnd_distribution
+
+    with pytest.raises(BoundaryError, match="^some source outcome has zero probability$"):
+        G.mechanism_from_distribution(rnd_distribution())
+
+
+def test_projection_clips_again_when_renormalizing_pushes_a_coordinate_under():
+    # flooring coordinate 0 takes 0.6 from the others: scaled by 0.9 / 1.5,
+    # coordinate 1 falls from 0.105 to 0.063, below epsilon, and is floored
+    # in a second pass
+    x = G._project_step(np.array([-0.5, 0.105, 1.395]), np.zeros(3), 1.0, 0.1)
+    assert x[0] == x[1] == 0.1
+    assert x.min() >= 0.1 and x.sum() == pytest.approx(1.0, abs=1e-15)

@@ -618,3 +618,43 @@ def test_log_parts_one_policy():
                      (np.array([[[0.5, -0.1]]]), None), (np.array([[[6, 0]]]), 12)):
         with pytest.raises(BoundaryError, match="nonpositive"):
             log_parts(bad, np.array([4]) if den else p_t, den)
+
+
+def test_every_antichain_is_a_node():
+    # d(n) - 2 nodes and as many nonempty antichains of nonempty coalitions,
+    # so a name that parses always names a node
+    for n in (1, 2, 3):
+        lat = enumerate_lattice(n)
+        coalitions = range(1, 1 << n)
+        found = set()
+        for pick in range(1, 1 << len(coalitions)):
+            masks = [c for k, c in enumerate(coalitions) if pick >> k & 1]
+            if all(a & b != a for a in masks for b in masks if a != b):
+                found.add(lat.index(Antichain(n, tuple(masks))))
+        assert len(found) == len(lat) == NODE_COUNTS[n]
+
+
+def test_antichain_and_meet_inputs_rejected():
+    with pytest.raises(LatticeError, match="^antichains over different source counts$"):
+        meet(Antichain.of(2, [[1]]), Antichain.of(3, [[1]]))
+    with pytest.raises(LatticeError, match="^need at least one collection$"):
+        normalize_antichain(3, [])
+    with pytest.raises(LatticeError, match="^empty coalition not allowed$"):
+        Antichain(3, (0b001, 0))
+    with pytest.raises(LatticeError, match=r"^coalition outside 1\.\.3$"):
+        Antichain(3, (0b1000,))
+
+
+def test_moebius_invert_names_the_node_that_does_not_resum():
+    # a fresh lattice whose first nonempty pass subtracts the bottom node
+    # from {3} instead of {3}{1,2}: only {3} then misses its cumulative value
+    lat = RedundancyLattice(3)
+    passes = [(upper, lower.copy()) for upper, lower in lat.moebius_passes]
+    assert [lat.names[passes[1][k][0]] for k in (0, 1)] == ["{3}", "{3}{1,2}"]
+    passes[1][1][0] = lat.index(lat.bottom)
+    lat.moebius_passes = passes
+    values = {a: float(k + 1) ** 2 for k, a in enumerate(lat.nodes)}
+    with pytest.raises(ValueError, match="^moebius inversion failed re-summation "
+                                         r"at node \{3\}: 172\.0 != 81\.0$"):
+        moebius_invert(lat, values)
+    assert moebius_invert(enumerate_lattice(3), values)

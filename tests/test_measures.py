@@ -6,8 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import (bits, grid_points, random_grid_distribution,
-                     rational_distribution)
+from helpers import (bits, foreign_decompositions, grid_points,
+                     random_grid_distribution, rational_distribution)
 from sxpid.builtins import (builtin_distribution, parity_distribution,
                             pwunq_distribution, rnd_distribution,
                             rnderr_distribution, xor_distribution,
@@ -861,3 +861,16 @@ def test_v_channel_shared_rows_are_the_bottom_node(monkeypatch):
     for row in shared:
         assert row.statement == row.realization.s
         assert row.info_bits == M.i_sx(d, row.realization, node(2, [1], [2]))
+
+
+# ---------------------------------------------------------------------------
+# given decompositions must be the distribution's own
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("case", ["source count", "subset", "order", "weight"])
+def test_average_of_foreign_decompositions_rejected(case):
+    d, decs, message = foreign_decompositions()[case]
+    with pytest.raises(DistributionError, match=message):
+        M.average_decomposition(d, decompositions=decs)
+    assert M.average_decomposition(d, decompositions=M.decompose_support(d)) \
+        == M.average_decomposition(d)

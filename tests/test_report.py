@@ -9,11 +9,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import DEN_1E20_CSV, bits, grid_points, random_grid_distribution
+from helpers import (DEN_1E20_CSV, bits, foreign_decompositions, grid_points,
+                     random_grid_distribution)
 from sxpid import measures as M
 from sxpid import report
 from sxpid.builtins import builtin_distribution, builtin_names
-from sxpid.dist import JointDistribution, Realization, load_distribution
+from sxpid.dist import (DistributionError, JointDistribution, Realization,
+                        load_distribution)
 from sxpid.lattice import enumerate_lattice, invert_array
 
 SMALL_BUILTINS = [name for name in builtin_names() if ":" not in name] + [
@@ -322,3 +324,27 @@ def test_python_int_masses_carry_exact_fields():
     assert all(block["exact"] == {"i_plus": "1", "i_minus": "1",
                                   "pi_plus": "1", "pi_minus": "1"}
                for block in point["nodes"].values())
+
+
+@pytest.mark.parametrize("case", ["source count", "subset", "order", "weight"])
+def test_report_of_foreign_decompositions_rejected(case):
+    d, decs, message = foreign_decompositions()[case]
+    avg = M.average_decomposition(d)
+    with pytest.raises(DistributionError, match=message):
+        report.decomposition_report(d, avg, decs)
+
+
+def test_report_of_foreign_averages_rejected():
+    avg = M.average_decomposition(builtin_distribution("xorduplicate"))
+    with pytest.raises(DistributionError,
+                       match="^averages over 3 sources, the distribution has 2$"):
+        report.decomposition_report(builtin_distribution("xor"), avg)
+
+
+def test_render_json_of_a_cyclic_doc_raises_what_json_does():
+    doc = {"averages": {}}
+    doc["averages"]["loop"] = doc
+    with pytest.raises(ValueError) as want:
+        json.dumps(doc, indent=2)
+    with pytest.raises(type(want.value), match=f"^{want.value}$"):
+        report.render_json(doc)
