@@ -354,11 +354,9 @@ def average_decomposition(d: JointDistribution,
     no weight and are never evaluated); given ``decompositions`` must be
     d's (``check_decompositions``)."""
     lat = _lattice_of(d, lattice)
-    decs = decompositions
-    if decs is None:
-        decs = decompose_support(d, lat)
-    else:
-        check_decompositions(d, decs)
+    if decompositions is not None:
+        check_decompositions(d, decompositions)
+    decs = decompositions or decompose_support(d, lat)
     weights = np.array([float(dec.weight) for dec in decs])
     # the products are those of a per-term fsum, so each sum is the
     # correctly rounded one

@@ -340,11 +340,3 @@ def test_report_of_foreign_averages_rejected():
                        match="^averages over 3 sources, the distribution has 2$"):
         report.decomposition_report(builtin_distribution("xor"), avg)
 
-
-def test_render_json_of_a_cyclic_doc_raises_what_json_does():
-    doc = {"averages": {}}
-    doc["averages"]["loop"] = doc
-    with pytest.raises(ValueError) as want:
-        json.dumps(doc, indent=2)
-    with pytest.raises(type(want.value), match=f"^{want.value}$"):
-        report.render_json(doc)
