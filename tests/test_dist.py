@@ -444,9 +444,9 @@ def test_plan_and_mass_steps_give_the_kernel_bits(n):
     # the float table meets exact masses: Python-int sums, those of int64
     ints = rng.integers(1, 10**6, size=len(points))
     exact = plan_event_masses(lat.up_sets, plan, ints.astype(object) * 3**40)
-    for got, want in zip(exact, plan_event_masses(lat.up_sets, plan, ints)):
+    for got, small in zip(exact, plan_event_masses(lat.up_sets, plan, ints)):
         assert {type(x) for x in got.flat} == {int}
-        assert got.tolist() == (want.astype(object) * 3**40).tolist()
+        assert got.tolist() == (small.astype(object) * 3**40).tolist()
 
 
 @pytest.mark.parametrize("r, m, message", [
